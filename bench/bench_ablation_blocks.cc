@@ -48,12 +48,14 @@ int Main(int argc, char** argv) {
   {
     std::vector<std::vector<SparseEntry>> per_query(
         exp.workload.batch.size());
+    const std::vector<uint64_t>& offsets = exp.list.uses_offsets();
     for (uint64_t rank = 0; rank < exp.list.size(); ++rank) {
-      const MasterEntry& e = exp.list.entry(rank);
-      rank_of.emplace(e.key, rank);
-      packed[rank] = exp.store->Peek(e.key);
-      for (const auto& [query, coeff] : e.uses) {
-        per_query[query].push_back({rank, coeff});
+      const uint64_t key = exp.list.keys()[rank];
+      rank_of.emplace(key, rank);
+      packed[rank] = exp.store->Peek(key);
+      for (uint64_t r = offsets[rank]; r < offsets[rank + 1]; ++r) {
+        per_query[exp.list.uses_query()[r]].push_back(
+            {rank, exp.list.uses_coeff()[r]});
       }
     }
     for (size_t q = 0; q < per_query.size(); ++q) {
@@ -131,7 +133,7 @@ int Main(int argc, char** argv) {
     WB_CHECK_OK(by_block.StepToBlocks(block_budget));
     while (coeff_blocks_touched.size() < block_budget && !by_coeff.Done()) {
       const size_t entry = by_coeff.Step().value();
-      coeff_blocks_touched.insert(block_of(rank_list.entry(entry).key));
+      coeff_blocks_touched.insert(block_of(rank_list.keys()[entry]));
     }
     error_table.AddRow(
         {std::to_string(block_budget),

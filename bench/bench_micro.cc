@@ -34,7 +34,6 @@
 #include "strategy/wavelet_strategy.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
-#include "util/cpu_features.h"
 #include "util/random.h"
 #include "wavelet/dwt1d.h"
 #include "wavelet/lazy_query_transform.h"
@@ -249,17 +248,13 @@ void BM_EngineSessionStep(benchmark::State& state) {
 BENCHMARK(BM_EngineSessionStep)->Unit(benchmark::kNanosecond);
 
 void BM_EngineSessionStepBatch(benchmark::State& state) {
-  // The instrumented hot loop: StepBatch(n) with the telemetry registry
-  // enabled vs disabled. The telemetry subsystem's acceptance bar is <2%
-  // regression on this benchmark with the registry enabled (counters +
-  // one latency histogram + one span per batch, amortized over n steps).
-  // The simd axis pins the whole execution tier process-wide: 0 forces
-  // scalar everywhere (apply kernel AND the dense-store batch gather), 1
-  // restores best-tier detection. The two produce bit-identical estimates,
-  // so the ratio is the pure vectorization speedup of the step path.
+  // The instrumented hot loop: StepBatch(n) — one DenseStore batch gather
+  // plus one ApplyKernel::ApplyOrderedSlice — with the telemetry registry
+  // enabled vs disabled. The ratio of the two telemetry settings is the
+  // enabled cost (counters + one latency histogram + one span per batch,
+  // amortized over n steps).
   const size_t batch = static_cast<size_t>(state.range(0));
   const bool enabled = state.range(1) != 0;
-  const bool simd = state.range(2) != 0;
   TemperatureDatasetOptions options;
   options.lat_size = 32;
   options.lon_size = 32;
@@ -281,8 +276,6 @@ void BM_EngineSessionStepBatch(benchmark::State& state) {
   } else {
     telemetry::MetricsRegistry::Disable();
   }
-  SetKernelTierOverride(simd ? std::optional<KernelTier>()
-                             : KernelTier::kScalar);
   EvalSession::Options opts;
   EvalSession session(plan, store, opts);
   for (auto _ : state) {
@@ -294,13 +287,11 @@ void BM_EngineSessionStepBatch(benchmark::State& state) {
     benchmark::DoNotOptimize(session.StepBatch(batch).value());
   }
   state.SetItemsProcessed(state.iterations() * batch);
-  state.SetLabel(KernelTierName(session.kernel_tier()));
-  SetKernelTierOverride(std::nullopt);
   telemetry::MetricsRegistry::Enable();
 }
 BENCHMARK(BM_EngineSessionStepBatch)
-    ->ArgsProduct({{64, 256, 1024}, {0, 1}, {0, 1}})
-    ->ArgNames({"batch", "telemetry", "simd"})
+    ->ArgsProduct({{64, 256, 1024}, {0, 1}})
+    ->ArgNames({"batch", "telemetry"})
     ->Unit(benchmark::kMicrosecond);
 
 void BM_PlanBuild(benchmark::State& state) {
@@ -764,15 +755,6 @@ int main(int argc, char** argv) {
 #else
   benchmark::AddCustomContext("wavebatch_build_type", "debug");
 #endif
-  // Stamp the kernel tier this process will dispatch to and the CPU
-  // features behind that choice: timings taken on different tiers are not
-  // comparable, and bench_compare refuses to gate *time* across a tier
-  // mismatch (machine-independent counters still gate).
-  benchmark::AddCustomContext(
-      "wavebatch_kernel_tier",
-      wavebatch::KernelTierName(wavebatch::BestKernelTier()));
-  benchmark::AddCustomContext("wavebatch_cpu_features",
-                              wavebatch::CpuFeatureString());
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   if (!metrics_out.empty()) {

@@ -116,12 +116,17 @@ int main() {
   std::vector<bool> used_mix(list.size(), false);
   auto remaining_risk = [&](const std::vector<bool>& used) {
     std::vector<double> column(w.batch.size(), 0.0);
+    const std::vector<uint64_t>& offsets = list.uses_offsets();
     double total = 0.0;
     for (size_t i = 0; i < list.size(); ++i) {
       if (used[i]) continue;
-      for (const auto& [q, c] : list.entry(i).uses) column[q] = c;
+      for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+        column[list.uses_query()[r]] = list.uses_coeff()[r];
+      }
       total += laplacian.Apply(column);
-      for (const auto& [q, c] : list.entry(i).uses) column[q] = 0.0;
+      for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+        column[list.uses_query()[r]] = 0.0;
+      }
     }
     return total;
   };

@@ -17,14 +17,20 @@ BlockProgressiveEvaluator::BlockProgressiveEvaluator(
   estimates_.assign(list_->num_queries(), 0.0);
 
   std::unordered_map<uint64_t, size_t> block_index;
+  const std::vector<uint64_t>& offsets = list_->uses_offsets();
+  const std::vector<uint32_t>& uses_query = list_->uses_query();
+  const std::vector<double>& uses_coeff = list_->uses_coeff();
   std::vector<double> column(list_->num_queries(), 0.0);
   for (size_t i = 0; i < list_->size(); ++i) {
-    const MasterEntry& e = list_->entry(i);
-    for (const auto& [q, c] : e.uses) column[q] = c;
+    for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+      column[uses_query[r]] = uses_coeff[r];
+    }
     const double importance = penalty->Apply(column);
-    for (const auto& [q, c] : e.uses) column[q] = 0.0;
+    for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+      column[uses_query[r]] = 0.0;
+    }
 
-    const uint64_t block_id = block_of(e.key);
+    const uint64_t block_id = block_of(list_->keys()[i]);
     auto [it, inserted] = block_index.try_emplace(block_id, blocks_.size());
     if (inserted) blocks_.push_back({block_id, 0.0, {}});
     Block& block = blocks_[it->second];
@@ -47,17 +53,19 @@ size_t BlockProgressiveEvaluator::StepBlock() {
   std::vector<uint64_t> keys;
   keys.reserve(block.entries.size());
   for (size_t entry_idx : block.entries) {
-    keys.push_back(list_->entry(entry_idx).key);
+    keys.push_back(list_->keys()[entry_idx]);
   }
   std::vector<double> values(keys.size());
   // Legacy evaluator: crash-on-error golden reference (see engine for the
   // fault-tolerant path).
   WB_CHECK_OK(store_->FetchBatch(keys, values, &io_));
   coefficients_fetched_ += block.entries.size();
+  const std::vector<uint64_t>& offsets = list_->uses_offsets();
   for (size_t i = 0; i < block.entries.size(); ++i) {
     if (values[i] == 0.0) continue;
-    for (const auto& [q, c] : list_->entry(block.entries[i]).uses) {
-      estimates_[q] += c * values[i];
+    const size_t entry_idx = block.entries[i];
+    for (uint64_t r = offsets[entry_idx]; r < offsets[entry_idx + 1]; ++r) {
+      estimates_[list_->uses_query()[r]] += list_->uses_coeff()[r] * values[i];
     }
   }
   return block.entries.size();

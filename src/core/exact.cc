@@ -46,21 +46,20 @@ ExactBatchResult EvaluateShared(const MasterList& list,
   ExactBatchResult out;
   out.results.resize(list.num_queries(), 0.0);
   IoStats io;
-  const std::vector<MasterEntry>& entries = list.entries();
+  const std::vector<uint64_t>& offsets = list.uses_offsets();
   std::vector<uint64_t> keys;
   std::vector<double> values;
-  for (size_t begin = 0; begin < entries.size(); begin += kFetchChunk) {
-    const size_t end = std::min(entries.size(), begin + kFetchChunk);
-    keys.clear();
-    for (size_t i = begin; i < end; ++i) keys.push_back(entries[i].key);
+  for (size_t begin = 0; begin < list.size(); begin += kFetchChunk) {
+    const size_t end = std::min(list.size(), begin + kFetchChunk);
+    keys.assign(list.keys().begin() + begin, list.keys().begin() + end);
     values.assign(keys.size(), 0.0);
     WB_CHECK_OK(store.FetchBatch(keys, values, &io));
     // Entry order, like the scalar loop: identical accumulation sequence.
     for (size_t i = begin; i < end; ++i) {
       const double data = values[i - begin];
       if (data == 0.0) continue;
-      for (const auto& [query, coeff] : entries[i].uses) {
-        out.results[query] += coeff * data;
+      for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+        out.results[list.uses_query()[r]] += list.uses_coeff()[r] * data;
       }
     }
   }

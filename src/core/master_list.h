@@ -22,34 +22,19 @@ enum class BuildParallelism {
   kParallel,
 };
 
-/// One storage coefficient needed by the batch, together with every query
-/// that uses it and that query's coefficient there — the unit of I/O
-/// sharing (Section 2.2): fetching this key once advances every query in
-/// `uses`.
-struct MasterEntry {
-  uint64_t key;
-  /// (query index, q̂_i[key]) pairs, ascending by query index.
-  std::vector<std::pair<uint32_t, double>> uses;
-};
-
 /// The merged master list of Batch-Biggest-B steps 2–3: per-query sparse
 /// coefficient lists merged by key. Its size is the exact shared I/O cost
 /// of the batch; the sum of per-query sizes is the naive (unshared) cost.
 ///
-/// The list is held in two views over the same data:
-///
-///   * the **flat CSR image** — contiguous `keys()`, `uses_offsets()`
-///     (size+1 prefix offsets), `uses_query()` and `uses_coeff()` arrays;
-///     entry i's uses occupy [uses_offsets()[i], uses_offsets()[i+1]) of
-///     the two `uses_*` arrays. This is the hot-path layout: the engine's
-///     apply kernel walks it branch-free with no per-entry pointer chase
-///     (see engine/apply_kernel.h).
-///   * the **pointer-based `entries()` view** — one `MasterEntry` with its
-///     own `uses` vector per coefficient. The legacy core/ evaluators (the
-///     golden references) keep reading this view, so nothing built on it
-///     changes behavior.
-///
-/// Both views are materialized by the same build and always agree.
+/// The list is held as one flat CSR image: contiguous `keys()`,
+/// `uses_offsets()` (size+1 prefix offsets), `uses_query()` and
+/// `uses_coeff()` arrays. Entry i is one storage coefficient needed by the
+/// batch — the unit of I/O sharing (Section 2.2): fetching keys()[i] once
+/// advances every query in its use row [uses_offsets()[i],
+/// uses_offsets()[i+1]) of the two `uses_*` arrays. The engine's apply
+/// kernel walks it branch-free with no per-entry pointer chase (see
+/// engine/apply_kernel.h); the core/ reference evaluators walk the same
+/// rows in the same order.
 class MasterList {
  public:
   /// An empty master list (no queries, no entries); assign over it.
@@ -69,8 +54,6 @@ class MasterList {
   size_t num_queries() const { return num_queries_; }
   /// Distinct coefficients needed by the batch = exact shared I/O cost.
   size_t size() const { return keys_.size(); }
-  const MasterEntry& entry(size_t i) const { return entries_[i]; }
-  const std::vector<MasterEntry>& entries() const { return entries_; }
 
   /// CSR image, ascending by key. keys()[i] is entry i's storage key; its
   /// uses are rows [uses_offsets()[i], uses_offsets()[i+1]) of
@@ -96,13 +79,11 @@ class MasterList {
   uint64_t total_coefficients_ = 0;
   std::vector<uint64_t> per_query_coefficients_;
 
-  // CSR image (primary representation, ascending by key).
+  // CSR image, ascending by key.
   std::vector<uint64_t> keys_;
   std::vector<uint64_t> uses_offsets_;  // size() + 1 when non-empty
   std::vector<uint32_t> uses_query_;
   std::vector<double> uses_coeff_;
-
-  std::vector<MasterEntry> entries_;  // legacy golden view, same order
 };
 
 }  // namespace wavebatch

@@ -23,13 +23,19 @@ ProgressiveEvaluator::ProgressiveEvaluator(const MasterList* list,
   // Step 4 of Batch-Biggest-B: compute ι_p(ξ) for every master-list entry
   // by applying the penalty to the column of query coefficients at ξ.
   importance_.resize(list_->size());
+  const std::vector<uint64_t>& offsets = list_->uses_offsets();
+  const std::vector<uint32_t>& uses_query = list_->uses_query();
+  const std::vector<double>& uses_coeff = list_->uses_coeff();
   std::vector<double> column(list_->num_queries(), 0.0);
   for (size_t i = 0; i < list_->size(); ++i) {
-    const MasterEntry& e = list_->entry(i);
-    for (const auto& [query, coeff] : e.uses) column[query] = coeff;
+    for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+      column[uses_query[r]] = uses_coeff[r];
+    }
     importance_[i] = penalty_->Apply(column);
     remaining_importance_ += importance_[i];
-    for (const auto& [query, coeff] : e.uses) column[query] = 0.0;
+    for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+      column[uses_query[r]] = 0.0;
+    }
   }
 
   BuildOrder(order, seed);
@@ -51,9 +57,11 @@ void ProgressiveEvaluator::BuildOrder(ProgressionOrder order, uint64_t seed) {
       // Per query: its entries ordered by decreasing |own coefficient|.
       std::vector<std::vector<std::pair<double, size_t>>> per_query(
           list_->num_queries());
+      const std::vector<uint64_t>& offsets = list_->uses_offsets();
       for (size_t i = 0; i < list_->size(); ++i) {
-        for (const auto& [query, coeff] : list_->entry(i).uses) {
-          per_query[query].emplace_back(std::abs(coeff), i);
+        for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+          per_query[list_->uses_query()[r]].emplace_back(
+              std::abs(list_->uses_coeff()[r]), i);
         }
       }
       for (auto& v : per_query) {
@@ -120,16 +128,19 @@ size_t ProgressiveEvaluator::PopNext() {
 size_t ProgressiveEvaluator::Step() {
   WB_CHECK(!Done()) << "Step() after completion";
   const size_t entry_idx = PopNext();
-  const MasterEntry& e = list_->entry(entry_idx);
   // Legacy evaluator: crash-on-error golden reference (see engine for the
   // fault-tolerant path).
-  const double data = store_->Fetch(e.key, &io_).value();
-  if (data != 0.0) {
-    for (const auto& [query, coeff] : e.uses) {
-      estimates_[query] += coeff * data;
-    }
-  }
+  const double data = store_->Fetch(list_->keys()[entry_idx], &io_).value();
+  ApplyEntry(entry_idx, data);
   return entry_idx;
+}
+
+void ProgressiveEvaluator::ApplyEntry(size_t entry_idx, double data) {
+  if (data == 0.0) return;
+  const std::vector<uint64_t>& offsets = list_->uses_offsets();
+  for (uint64_t r = offsets[entry_idx]; r < offsets[entry_idx + 1]; ++r) {
+    estimates_[list_->uses_query()[r]] += list_->uses_coeff()[r] * data;
+  }
 }
 
 void ProgressiveEvaluator::StepMany(size_t n) {
@@ -146,18 +157,13 @@ size_t ProgressiveEvaluator::StepBatch(size_t n) {
   for (size_t i = 0; i < n; ++i) {
     const size_t entry_idx = PopNext();
     popped.push_back(entry_idx);
-    keys.push_back(list_->entry(entry_idx).key);
+    keys.push_back(list_->keys()[entry_idx]);
   }
   std::vector<double> values(keys.size());
   WB_CHECK_OK(store_->FetchBatch(keys, values, &io_));
   // Apply in pop order: the identical floating-point accumulation sequence
   // a scalar Step() loop would produce.
-  for (size_t i = 0; i < popped.size(); ++i) {
-    if (values[i] == 0.0) continue;
-    for (const auto& [query, coeff] : list_->entry(popped[i]).uses) {
-      estimates_[query] += coeff * values[i];
-    }
-  }
+  for (size_t i = 0; i < popped.size(); ++i) ApplyEntry(popped[i], values[i]);
   return n;
 }
 

@@ -108,6 +108,8 @@ class ProgressiveEvaluator {
   void BuildOrder(ProgressionOrder order, uint64_t seed);
   size_t NextEntry() const;  // entry the next Step() will take
   size_t PopNext();          // consume the next entry (bookkeeping only)
+  // estimates[q] += c_q * data over entry_idx's use row; zero data skips.
+  void ApplyEntry(size_t entry_idx, double data);
 
   const MasterList* list_;
   const PenaltyFunction* penalty_;

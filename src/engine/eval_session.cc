@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "engine/kernel_tiers.h"
 #include "storage/key_router.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
@@ -75,16 +74,6 @@ EvalSession::EvalSession(std::shared_ptr<const EvalPlan> plan,
     store_ = std::move(pinned);
   }
   kernel_ = plan_->kernel();
-  // Resolve the apply-kernel tier once: every batched apply this session
-  // runs uses it (all tiers are bit-identical; see engine/kernel_tiers.h).
-  if (options_.kernel_tier.has_value()) {
-    tier_ = *options_.kernel_tier;
-    WB_CHECK(KernelTierUsable(tier_))
-        << "requested kernel tier " << KernelTierName(tier_)
-        << " is not usable on this host/build";
-  } else {
-    tier_ = BestKernelTier();
-  }
   // Lossy-store gate: checked on the PINNED store (the view this session
   // actually reads). Exact stores keep the zero-overhead path.
   lossy_ = store_->Lossy();
@@ -290,10 +279,9 @@ Result<size_t> EvalSession::StepBatch(size_t n) {
   }
   steps_taken_ += n;
   // Fused apply in consumption order: the identical floating-point
-  // accumulation sequence a scalar Step() loop would produce, on whichever
-  // execution tier the session resolved (bit-identical across tiers).
-  ApplyOrderedSliceTiered(kernel_, tier_, order, n, batch_values_.data(),
-                          estimates_.data(), &remaining_importance_);
+  // accumulation sequence a scalar Step() loop would produce.
+  kernel_.ApplyOrderedSlice(order, n, batch_values_.data(), estimates_.data(),
+                            &remaining_importance_);
   AccumulateQuantError(order, n);
   UpdateTelemetry();
   return n;
@@ -347,9 +335,9 @@ Result<size_t> EvalSession::StepBlock() {
   ++blocks_fetched_;
   coefficients_fetched_ += count;
   steps_taken_ += count;
-  ApplyOrderedSliceTiered(kernel_, tier_, block.entries.data(), count,
-                          batch_values_.data(), estimates_.data(),
-                          &remaining_importance_);
+  kernel_.ApplyOrderedSlice(block.entries.data(), count,
+                            batch_values_.data(), estimates_.data(),
+                            &remaining_importance_);
   AccumulateQuantError(block.entries.data(), count);
   UpdateTelemetry();
   return count;

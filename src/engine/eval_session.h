@@ -4,13 +4,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "engine/apply_kernel.h"
 #include "engine/eval_plan.h"
 #include "storage/coefficient_store.h"
-#include "util/cpu_features.h"
 #include "util/status.h"
 
 namespace wavebatch {
@@ -68,12 +66,6 @@ struct EvalSessionOptions {
   size_t run_chunk = 4096;
   /// Fetch-failure handling; see FaultPolicy.
   FaultPolicy fault_policy = FaultPolicy::kFail;
-  /// Execution tier for the batched apply kernel. Unset = the best tier the
-  /// build and CPU support (BestKernelTier()). An explicit tier must be
-  /// usable on this host (WB_CHECK at construction). Every tier produces
-  /// bit-identical estimates — this knob exists for tests and A/B
-  /// benchmarking, not correctness.
-  std::optional<KernelTier> kernel_tier;
 };
 
 class EvalSession {
@@ -170,9 +162,6 @@ class EvalSession {
   /// Σ ι_p over skipped coefficients (0 unless kSkip absorbed a fault).
   double SkippedImportance() const { return skipped_importance_; }
 
-  /// The apply-kernel tier this session runs (resolved at construction).
-  KernelTier kernel_tier() const { return tier_; }
-
   /// Accumulated quantization-error mass Σ ε_ξ · ι_p(ξ)^(1/α) over the
   /// coefficients retrieved so far from a lossy store (0 on exact stores).
   /// This is the widening term WorstCaseBound() folds in; exposed for
@@ -252,8 +241,6 @@ class EvalSession {
   uint64_t skipped_coefficients_ = 0;
   double skipped_importance_ = 0.0;
 
-  /// Resolved apply-kernel tier (see EvalSessionOptions::kernel_tier).
-  KernelTier tier_ = KernelTier::kScalar;
   /// True when the (pinned) store's read path can return quantized values;
   /// gates the per-key error lookups so exact stores pay nothing.
   bool lossy_ = false;

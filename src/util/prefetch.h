@@ -3,10 +3,8 @@
 
 /// Software-prefetch hint shared by the hot gather/apply loops. Feature-gated
 /// rather than vendor-gated: a compiler that reports __has_builtin but lacks
-/// __builtin_prefetch (or reports neither) gets a no-op, so the scalar tier
-/// builds everywhere. Unlike the historical WAVEBATCH_PREFETCH (which was
-/// #undef'd at the end of its header), WB_PREFETCH is a durable macro — the
-/// per-ISA kernel translation units share it.
+/// __builtin_prefetch (or reports neither) gets a no-op, so the kernels
+/// build everywhere.
 #if defined(__has_builtin)
 #if __has_builtin(__builtin_prefetch)
 #define WB_PREFETCH(addr) __builtin_prefetch(addr)

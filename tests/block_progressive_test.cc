@@ -67,7 +67,7 @@ TEST(BlockProgressiveTest, BlockCountMatchesDistinctBlocks) {
   BlockFixture f;
   std::set<uint64_t> distinct;
   for (size_t i = 0; i < f.list.size(); ++i) {
-    distinct.insert(BlockBy16(f.list.entry(i).key));
+    distinct.insert(BlockBy16(f.list.keys()[i]));
   }
   BlockProgressiveEvaluator ev(&f.list, &f.sse, f.store.get(), BlockBy16);
   EXPECT_EQ(ev.TotalBlocks(), distinct.size());
@@ -90,10 +90,15 @@ TEST(BlockProgressiveTest, GreedyMaximizesCapturedImportancePerBlockBudget) {
   // Recompute per-block importance independently.
   std::map<uint64_t, double> block_importance;
   std::vector<double> column(f.batch.size(), 0.0);
+  const std::vector<uint64_t>& offsets = f.list.uses_offsets();
   for (size_t i = 0; i < f.list.size(); ++i) {
-    for (const auto& [q, c] : f.list.entry(i).uses) column[q] = c;
-    block_importance[BlockBy16(f.list.entry(i).key)] += f.sse.Apply(column);
-    for (const auto& [q, c] : f.list.entry(i).uses) column[q] = 0.0;
+    for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+      column[f.list.uses_query()[r]] = f.list.uses_coeff()[r];
+    }
+    block_importance[BlockBy16(f.list.keys()[i])] += f.sse.Apply(column);
+    for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+      column[f.list.uses_query()[r]] = 0.0;
+    }
   }
   std::vector<double> sorted;
   for (const auto& [id, imp] : block_importance) sorted.push_back(imp);

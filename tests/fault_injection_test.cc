@@ -261,8 +261,8 @@ TEST(FaultMatrixTest, FailAtStepKLeavesSessionResumable) {
     // Fresh schedule: fault on the 10th counted fetch.
     b.store->Heal();
     FaultInjectionStore faulty(b.store.get());
-    faulty.FailKey(f.list->entry(f.plan->Permutation(
-        ProgressionOrder::kBiggestB)[9]).key);
+    faulty.FailKey(f.list->keys()[f.plan->Permutation(
+        ProgressionOrder::kBiggestB)[9]]);
     EvalSession session(f.plan, UnownedStore(faulty), EvalSession::Options());
 
     // March scalar steps up to the fault.
@@ -408,8 +408,8 @@ TEST(FaultMatrixTest, DegradedModeSkipsAndWidensTheBound) {
         f.plan->Permutation(ProgressionOrder::kBiggestB);
     const size_t skip_a = order[3];
     const size_t skip_b = order[11];
-    const uint64_t key_a = f.list->entry(skip_a).key;
-    const uint64_t key_b = f.list->entry(skip_b).key;
+    const uint64_t key_a = f.list->keys()[skip_a];
+    const uint64_t key_b = f.list->keys()[skip_b];
     ASSERT_NE(key_a, key_b);
     FaultInjectionStore faulty(b.store.get());
     faulty.FailKey(key_a);
@@ -469,7 +469,7 @@ TEST(FaultMatrixTest, DegradedModeBatchFallsBackToScalar) {
         f.plan->Permutation(ProgressionOrder::kBiggestB);
     const size_t skip_idx = order[2];  // inside the first StepBatch(8)
     FaultInjectionStore faulty(b.store.get());
-    faulty.FailKey(f.list->entry(skip_idx).key);
+    faulty.FailKey(f.list->keys()[skip_idx]);
 
     EvalSession::Options opts;
     opts.fault_policy = FaultPolicy::kSkip;
@@ -529,7 +529,7 @@ struct ShardedFaultyPlane {
                                    size_t faulty_shard) const {
     std::vector<size_t> owned;
     for (size_t i = 0; i < list.size(); ++i) {
-      if (router.ShardOf(list.entry(i).key) == faulty_shard) owned.push_back(i);
+      if (router.ShardOf(list.keys()[i]) == faulty_shard) owned.push_back(i);
     }
     return owned;
   }
@@ -549,7 +549,7 @@ TEST_P(ShardedFaultMatrixTest, KFailSessionResumesAfterHeal) {
       f.plan, UnownedStore(*f.source), EvalSession::Options());
 
   // Kill the shard: every key it owns fails until Heal().
-  for (size_t entry : owned) plane.faulty->FailKey(f.list->entry(entry).key);
+  for (size_t entry : owned) plane.faulty->FailKey(f.list->keys()[entry]);
 
   EvalSession session(f.plan, UnownedStore(*plane.store),
                       EvalSession::Options());
@@ -565,8 +565,8 @@ TEST_P(ShardedFaultMatrixTest, KFailSessionResumesAfterHeal) {
   // The degraded plane keeps serving the healthy shards' keys.
   IoStats probe_io;
   for (size_t i = 0; i < f.list->size(); ++i) {
-    if (plane.router.ShardOf(f.list->entry(i).key) != faulty_shard) {
-      EXPECT_TRUE(plane.store->Fetch(f.list->entry(i).key, &probe_io).ok());
+    if (plane.router.ShardOf(f.list->keys()[i]) != faulty_shard) {
+      EXPECT_TRUE(plane.store->Fetch(f.list->keys()[i], &probe_io).ok());
       break;
     }
   }
@@ -588,7 +588,7 @@ TEST_P(ShardedFaultMatrixTest, KSkipDegradesOnlyTheFaultyShardsMass) {
   ASSERT_FALSE(owned.empty());
   const double k = f.source->SumAbs();
 
-  for (size_t entry : owned) plane.faulty->FailKey(f.list->entry(entry).key);
+  for (size_t entry : owned) plane.faulty->FailKey(f.list->keys()[entry]);
 
   // Reference: a clean run over the plane with the faulty shard's
   // coefficients zeroed — exactly what degradation should compute.

@@ -21,6 +21,22 @@
 namespace wavebatch {
 namespace {
 
+// ι_p of master-list entry i: p applied to its column of query
+// coefficients. `column` is an all-zero scratch of num_queries() slots and
+// is left all-zero again.
+double EntryImportance(const MasterList& list, size_t i,
+                       const PenaltyFunction& p, std::vector<double>& column) {
+  const std::vector<uint64_t>& offsets = list.uses_offsets();
+  for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+    column[list.uses_query()[r]] = list.uses_coeff()[r];
+  }
+  const double importance = p.Apply(column);
+  for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+    column[list.uses_query()[r]] = 0.0;
+  }
+  return importance;
+}
+
 class IntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -137,9 +153,7 @@ TEST_F(IntegrationTest, CursoredPenaltySteersPrecisionToCursor) {
     double total = 0.0;
     for (size_t i = 0; i < list_->size(); ++i) {
       if (used[i]) continue;
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = c;
-      total += p.Apply(column);
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = 0.0;
+      total += EntryImportance(*list_, i, p, column);
     }
     return total;
   };
@@ -199,9 +213,7 @@ TEST_F(IntegrationTest, LaplacianOrderOptimizesGuaranteedLaplacianRisk) {
     std::vector<double> column(workload_->batch.size(), 0.0);
     for (size_t i = 0; i < list_->size(); ++i) {
       if (fetched[i]) continue;
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = c;
-      total += lap.Apply(column);
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = 0.0;
+      total += EntryImportance(*list_, i, lap, column);
     }
     (void)ev;
     return total;
@@ -220,9 +232,7 @@ TEST_F(IntegrationTest, LaplacianOrderOptimizesGuaranteedLaplacianRisk) {
   {
     std::vector<double> column(workload_->batch.size(), 0.0);
     for (size_t i = 0; i < list_->size(); ++i) {
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = c;
-      const double imp = lap.Apply(column);
-      for (const auto& [q, c] : list_->entry(i).uses) column[q] = 0.0;
+      const double imp = EntryImportance(*list_, i, lap, column);
       if (!fetched_sse[i]) max_unused_sse = std::max(max_unused_sse, imp);
       if (!fetched_lap[i]) max_unused_lap = std::max(max_unused_lap, imp);
     }

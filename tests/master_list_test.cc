@@ -38,14 +38,14 @@ TEST(MasterListTest, FromQueryVectorsMergesByKey) {
   EXPECT_EQ(list.TotalQueryCoefficients(), 7u);
   EXPECT_EQ(list.MaxSharing(), 3u);
 
-  EXPECT_EQ(list.entry(0).key, 1u);
-  ASSERT_EQ(list.entry(0).uses.size(), 2u);
-  EXPECT_EQ(list.entry(0).uses[0].first, 0u);
-  EXPECT_DOUBLE_EQ(list.entry(0).uses[0].second, 1.0);
-  EXPECT_EQ(list.entry(0).uses[1].first, 2u);
+  EXPECT_EQ(list.keys()[0], 1u);
+  ASSERT_EQ(list.uses_offsets()[1] - list.uses_offsets()[0], 2u);
+  EXPECT_EQ(list.uses_query()[0], 0u);
+  EXPECT_DOUBLE_EQ(list.uses_coeff()[0], 1.0);
+  EXPECT_EQ(list.uses_query()[1], 2u);
 
-  EXPECT_EQ(list.entry(1).key, 5u);
-  EXPECT_EQ(list.entry(1).uses.size(), 3u);
+  EXPECT_EQ(list.keys()[1], 5u);
+  EXPECT_EQ(list.uses_offsets()[2] - list.uses_offsets()[1], 3u);
 }
 
 TEST(MasterListTest, EntriesSortedAndUsesAscending) {
@@ -55,12 +55,12 @@ TEST(MasterListTest, EntriesSortedAndUsesAscending) {
   };
   MasterList list = MasterList::FromQueryVectors(qs);
   for (size_t i = 1; i < list.size(); ++i) {
-    EXPECT_LT(list.entry(i - 1).key, list.entry(i).key);
+    EXPECT_LT(list.keys()[i - 1], list.keys()[i]);
   }
   for (size_t i = 0; i < list.size(); ++i) {
-    const auto& uses = list.entry(i).uses;
-    for (size_t j = 1; j < uses.size(); ++j) {
-      EXPECT_LT(uses[j - 1].first, uses[j].first);
+    const uint64_t lo = list.uses_offsets()[i];
+    for (uint64_t r = lo + 1; r < list.uses_offsets()[i + 1]; ++r) {
+      EXPECT_LT(list.uses_query()[r - 1], list.uses_query()[r]);
     }
   }
 }
@@ -98,26 +98,33 @@ TEST(MasterListTest, BuildFromBatchSharesAcrossAdjacentRanges) {
 }
 
 TEST(MasterListTest, CsrViewMatchesEntriesView) {
-  // The flat CSR image and the pointer-based legacy view are two
-  // materializations of the same build; they must agree entry for entry.
+  // The CSR image is well formed: prefix offsets cover every use, keys are
+  // strictly ascending, each row is strictly ascending by query, and every
+  // (key, query, coefficient) triple is one of the input coefficients.
   std::vector<SparseVec> qs =
       RandomQueryVectors(/*num_queries=*/12, /*nnz=*/200, /*domain=*/1024, 3);
   MasterList list = MasterList::FromQueryVectors(qs);
-  ASSERT_EQ(list.entries().size(), list.size());
   ASSERT_EQ(list.keys().size(), list.size());
   ASSERT_EQ(list.uses_offsets().size(), list.size() + 1);
   EXPECT_EQ(list.uses_offsets().front(), 0u);
   EXPECT_EQ(list.uses_offsets().back(), list.uses_query().size());
   ASSERT_EQ(list.uses_query().size(), list.uses_coeff().size());
+  EXPECT_EQ(list.uses_query().size(), list.TotalQueryCoefficients());
   for (size_t e = 0; e < list.size(); ++e) {
-    const MasterEntry& entry = list.entry(e);
-    EXPECT_EQ(entry.key, list.keys()[e]);
+    if (e > 0) {
+      EXPECT_LT(list.keys()[e - 1], list.keys()[e]);
+    }
     const uint64_t lo = list.uses_offsets()[e];
     const uint64_t hi = list.uses_offsets()[e + 1];
-    ASSERT_EQ(entry.uses.size(), hi - lo);
+    ASSERT_LT(lo, hi) << "entry " << e << " has no uses";
     for (uint64_t r = lo; r < hi; ++r) {
-      EXPECT_EQ(entry.uses[r - lo].first, list.uses_query()[r]);
-      EXPECT_EQ(entry.uses[r - lo].second, list.uses_coeff()[r]);
+      if (r > lo) {
+        EXPECT_LT(list.uses_query()[r - 1], list.uses_query()[r]);
+      }
+      const uint32_t q = list.uses_query()[r];
+      ASSERT_LT(q, qs.size());
+      EXPECT_EQ(qs[q].ValueAt(list.keys()[e]), list.uses_coeff()[r])
+          << "entry " << e << " query " << q;
     }
   }
 }
@@ -139,11 +146,6 @@ TEST(MasterListTest, SerialAndParallelBuildsBitIdentical) {
   EXPECT_EQ(serial.uses_offsets(), parallel.uses_offsets());
   EXPECT_EQ(serial.uses_query(), parallel.uses_query());
   EXPECT_EQ(serial.uses_coeff(), parallel.uses_coeff());
-  ASSERT_EQ(serial.entries().size(), parallel.entries().size());
-  for (size_t e = 0; e < serial.size(); ++e) {
-    EXPECT_EQ(serial.entry(e).key, parallel.entry(e).key);
-    EXPECT_EQ(serial.entry(e).uses, parallel.entry(e).uses);
-  }
 }
 
 TEST(MasterListTest, BuildPropagatesRewriteErrors) {

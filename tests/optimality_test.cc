@@ -37,10 +37,15 @@ struct TinyWorkload {
     list = MasterList::Build(batch, strategy).value();
     SsePenalty sse;
     std::vector<double> column(batch.size(), 0.0);
+    const std::vector<uint64_t>& offsets = list.uses_offsets();
     for (size_t i = 0; i < list.size(); ++i) {
-      for (const auto& [q, c] : list.entry(i).uses) column[q] = c;
+      for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+        column[list.uses_query()[r]] = list.uses_coeff()[r];
+      }
       importance.push_back(sse.Apply(column));
-      for (const auto& [q, c] : list.entry(i).uses) column[q] = 0.0;
+      for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+        column[list.uses_query()[r]] = 0.0;
+      }
     }
   }
 
@@ -51,10 +56,11 @@ struct TinyWorkload {
   double PenaltyForSubset(const std::vector<bool>& used,
                           const std::vector<double>& delta_hat) const {
     std::vector<double> err(batch.size(), 0.0);
+    const std::vector<uint64_t>& offsets = list.uses_offsets();
     for (size_t i = 0; i < list.size(); ++i) {
       if (used[i]) continue;
-      for (const auto& [q, c] : list.entry(i).uses) {
-        err[q] += c * delta_hat[i];
+      for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+        err[list.uses_query()[r]] += list.uses_coeff()[r] * delta_hat[i];
       }
     }
     double sse = 0.0;

@@ -169,10 +169,12 @@ TEST(ProgressiveTest, PartialEstimatesAreBTermApproximations) {
   std::vector<size_t> used;
   for (size_t i = 0; i < b; ++i) used.push_back(ev.Step());
   std::vector<double> manual(f.batch.size(), 0.0);
+  const std::vector<uint64_t>& offsets = f.list.uses_offsets();
   for (size_t idx : used) {
-    const MasterEntry& e = f.list.entry(idx);
-    const double data = f.store->Peek(e.key);
-    for (const auto& [q, c] : e.uses) manual[q] += c * data;
+    const double data = f.store->Peek(f.list.keys()[idx]);
+    for (uint64_t r = offsets[idx]; r < offsets[idx + 1]; ++r) {
+      manual[f.list.uses_query()[r]] += f.list.uses_coeff()[r] * data;
+    }
   }
   for (size_t q = 0; q < manual.size(); ++q) {
     EXPECT_NEAR(ev.Estimates()[q], manual[q], 1e-9);
@@ -239,9 +241,12 @@ TEST(ProgressiveTest, ImportanceMatchesPenaltyOfCoefficientColumn) {
   Fixture f;
   SsePenalty sse;
   ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
+  const std::vector<uint64_t>& offsets = f.list.uses_offsets();
   for (size_t i = 0; i < f.list.size(); ++i) {
     double expected = 0.0;
-    for (const auto& [q, c] : f.list.entry(i).uses) expected += c * c;
+    for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+      expected += f.list.uses_coeff()[r] * f.list.uses_coeff()[r];
+    }
     EXPECT_NEAR(ev.ImportanceOf(i), expected, 1e-12);
   }
 }

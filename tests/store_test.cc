@@ -1,4 +1,5 @@
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -124,6 +125,18 @@ TEST(DenseStoreTest, FetchBatchOutOfCapacityChargesNothing) {
   EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
   // All-or-nothing: even the in-range key is uncharged.
   EXPECT_EQ(io.retrievals, 0u);
+
+  // Two bad keys: the error names the FIRST one, and nothing is charged.
+  DenseStore wide(std::vector<double>(64, 1.5));
+  std::vector<uint64_t> two_bad = {3, 9, 27, 64, 5, 1 << 20, 2};
+  std::vector<double> wide_out(two_bad.size());
+  IoStats wide_io;
+  status = wide.FetchBatch(two_bad, wide_out, &wide_io);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kOutOfRange);
+  EXPECT_NE(status.message().find("key 64"), std::string::npos)
+      << status.message();
+  EXPECT_EQ(wide_io.retrievals, 0u);
 }
 
 TEST(DenseStoreTest, BulkLoadValues) {
