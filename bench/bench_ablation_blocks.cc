@@ -42,20 +42,20 @@ int Main(int argc, char** argv) {
   // Master-list entries are already key-sorted, so entry index == disk
   // rank. Rebuild a rank-keyed master list and a rank-indexed store.
   std::unordered_map<uint64_t, uint64_t> rank_of;
-  rank_of.reserve(exp.list.size());
-  std::vector<double> packed(exp.list.size());
+  rank_of.reserve(exp.list->size());
+  std::vector<double> packed(exp.list->size());
   std::vector<SparseVec> rank_queries(exp.workload.batch.size());
   {
     std::vector<std::vector<SparseEntry>> per_query(
         exp.workload.batch.size());
-    const std::vector<uint64_t>& offsets = exp.list.uses_offsets();
-    for (uint64_t rank = 0; rank < exp.list.size(); ++rank) {
-      const uint64_t key = exp.list.keys()[rank];
+    const std::vector<uint64_t>& offsets = exp.list->uses_offsets();
+    for (uint64_t rank = 0; rank < exp.list->size(); ++rank) {
+      const uint64_t key = exp.list->keys()[rank];
       rank_of.emplace(key, rank);
       packed[rank] = exp.store->Peek(key);
       for (uint64_t r = offsets[rank]; r < offsets[rank + 1]; ++r) {
-        per_query[exp.list.uses_query()[r]].push_back(
-            {rank, exp.list.uses_coeff()[r]});
+        per_query[exp.list->uses_query()[r]].push_back(
+            {rank, exp.list->uses_coeff()[r]});
       }
     }
     for (size_t q = 0; q < per_query.size(); ++q) {

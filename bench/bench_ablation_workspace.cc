@@ -27,8 +27,8 @@ int Main(int argc, char** argv) {
   std::cout << "building experiment (domain "
             << TemperatureSchema(options).ToString() << ")..." << std::endl;
   Experiment exp(options, parts, 1234, WaveletKind::kDb4);
-  const uint64_t naive = exp.list.TotalQueryCoefficients();
-  const uint64_t shared = exp.list.size();
+  const uint64_t naive = exp.list->TotalQueryCoefficients();
+  const uint64_t shared = exp.list->size();
 
   Table table({"workspace budget", "groups", "retrievals", "vs shared",
                "peak workspace"});

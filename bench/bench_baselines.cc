@@ -22,7 +22,6 @@
 #include "baselines/compressed_view.h"
 #include "baselines/online_aggregation.h"
 #include "bench_common.h"
-#include "core/progressive.h"
 #include "penalty/sse.h"
 #include "util/table.h"
 
@@ -60,15 +59,14 @@ int Main(int argc, char** argv) {
             << options.num_records << " records)..." << std::endl;
   Experiment exp(options, parts, 1234, WaveletKind::kDb4);
 
-  SsePenalty sse;
-  ProgressiveEvaluator progressive(&exp.list, &sse, exp.store.get());
+  EvalSession progressive = exp.Session(std::make_shared<SsePenalty>());
 
   // Online aggregation re-streams the (i.i.d.) generator as the random
   // tuple order; budgets scale so both methods end "complete" together.
   OnlineAggregator online(&exp.workload.batch, options.num_records);
   const double tuples_per_coefficient =
       static_cast<double>(options.num_records) /
-      static_cast<double>(exp.list.size());
+      static_cast<double>(exp.list->size());
   uint64_t tuples_consumed = 0;
   std::vector<Tuple> buffered;  // consumed lazily from the stream below
   buffered.reserve(1 << 16);
@@ -81,14 +79,13 @@ int Main(int argc, char** argv) {
                "online agg MRE", "tuples scanned"});
   for (double frac : {0.001, 0.004, 0.016, 0.0625, 0.25, 1.0}) {
     const uint64_t budget = std::max<uint64_t>(
-        1, static_cast<uint64_t>(frac * static_cast<double>(exp.list.size())));
+        1, static_cast<uint64_t>(frac * static_cast<double>(exp.list->size())));
     // 1. Progressive query approximation.
-    progressive.StepMany(budget - progressive.StepsTaken());
+    WB_CHECK_OK(progressive.StepMany(budget - progressive.StepsTaken()));
     const double mre_progressive = Mre(progressive.Estimates(), exp.exact);
     // 2. Data approximation: a fresh C-coefficient synopsis of Δ̂.
-    auto synopsis = CompressTopCoefficients(*exp.store, budget);
-    ExactBatchResult against_synopsis = EvaluateShared(exp.list, *synopsis);
-    const double mre_synopsis = Mre(against_synopsis.results, exp.exact);
+    const double mre_synopsis = Mre(
+        exp.ExactOver(CompressTopCoefficients(*exp.store, budget)), exp.exact);
     // 3. Online aggregation at the scaled tuple budget.
     const uint64_t tuple_budget = std::min<uint64_t>(
         options.num_records,

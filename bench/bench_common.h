@@ -14,10 +14,11 @@
 #include <string>
 #include <vector>
 
-#include "core/exact.h"
 #include "core/master_list.h"
 #include "data/generators.h"
 #include "data/workloads.h"
+#include "engine/eval_plan.h"
+#include "engine/eval_session.h"
 #include "strategy/wavelet_strategy.h"
 #include "telemetry/export.h"
 #include "telemetry/metrics.h"
@@ -82,8 +83,8 @@ struct Experiment {
   DenseCube cube;
   PartitionWorkload workload;
   WaveletStrategy strategy;
-  std::unique_ptr<CoefficientStore> store;
-  MasterList list;
+  std::shared_ptr<CoefficientStore> store;
+  std::shared_ptr<const MasterList> list;
   std::vector<double> exact;
 
   Experiment(TemperatureDatasetOptions options, std::vector<size_t> parts,
@@ -106,13 +107,29 @@ struct Experiment {
                 << std::endl;
       std::exit(1);
     }
-    list = std::move(built).value();
+    list = std::make_shared<const MasterList>(std::move(built).value());
     // Reference results: exact shared evaluation (itself validated against
-    // brute force in the test suite). I/O is counted per caller-provided
-    // sink now, so the warm-up fetches here don't pollute later
-    // measurements — there is no store-level counter to reset.
-    ExactBatchResult res = EvaluateShared(list, *store);
-    exact = std::move(res.results);
+    // brute force in the test suite). I/O is counted per session, so these
+    // fetches don't pollute later measurements.
+    exact = ExactOver(store);
+  }
+
+  /// A biggest-B session over the experiment's master list and store,
+  /// ordered by `penalty`'s importances.
+  EvalSession Session(std::shared_ptr<const PenaltyFunction> penalty) const {
+    return EvalSession(EvalPlan::FromMasterList(list, std::move(penalty)),
+                       store);
+  }
+
+  /// The batch's exact answers over `data` (one shared key-order pass).
+  std::vector<double> ExactOver(
+      std::shared_ptr<const CoefficientStore> data) const {
+    EvalSession::Options key_order;
+    key_order.order = ProgressionOrder::kKeyOrder;
+    EvalSession session(EvalPlan::FromMasterList(list, /*penalty=*/nullptr),
+                        std::move(data), key_order);
+    WB_CHECK_OK(session.RunToExact());
+    return session.Estimates();
   }
 };
 

@@ -7,10 +7,9 @@
 //   Figure 7: normalized cursored SSE  (the cursored-optimized run wins)
 
 #include "bench_common.h"
-#include "util/table.h"
-#include "core/progressive.h"
-#include "core/trace.h"
+#include "engine/progression_trace.h"
 #include "penalty/sse.h"
+#include "util/table.h"
 
 namespace wavebatch::bench {
 namespace {
@@ -44,29 +43,36 @@ int Main(int argc, char** argv) {
   for (size_t i = 0; i < std::min(cursor_size, s); ++i) {
     cursor.push_back(s / 2 + i);  // a block in the middle of the domain
   }
-  SsePenalty sse;
-  WeightedSsePenalty cursored = CursoredSsePenalty(s, cursor, cursor_weight);
+  auto sse = std::make_shared<SsePenalty>();
+  auto cursored = std::make_shared<WeightedSsePenalty>(
+      CursoredSsePenalty(s, cursor, cursor_weight));
 
   double sse_norm = 0.0, cursored_norm = 0.0;
   {
     std::vector<double> zero_err = exp.exact;  // error of the zero estimate
-    sse_norm = sse.Apply(zero_err);
-    cursored_norm = cursored.Apply(zero_err);
+    sse_norm = sse->Apply(zero_err);
+    cursored_norm = cursored->Apply(zero_err);
   }
 
-  auto run = [&](const PenaltyFunction& optimize_for) {
-    ProgressiveEvaluator ev(&exp.list, &optimize_for, exp.store.get());
+  auto run = [&](std::shared_ptr<const PenaltyFunction> optimize_for) {
+    EvalSession ev = exp.Session(std::move(optimize_for));
     return ProgressionTrace::Run(
         ev, exp.exact,
-        {{"normalized_sse", &sse, sse_norm},
-         {"normalized_cursored_sse", &cursored, cursored_norm}},
+        {{"normalized_sse", sse.get(), sse_norm},
+         {"normalized_cursored_sse", cursored.get(), cursored_norm}},
         /*dense_until=*/32, /*growth=*/1.4);
   };
   std::cout << "running progression optimized for SSE..." << std::endl;
-  ProgressionTrace by_sse = run(sse);
+  Result<ProgressionTrace> by_sse = run(sse);
   std::cout << "running progression optimized for cursored SSE..."
             << std::endl;
-  ProgressionTrace by_cursored = run(cursored);
+  Result<ProgressionTrace> by_cursored = run(cursored);
+  for (const Result<ProgressionTrace>* r : {&by_sse, &by_cursored}) {
+    if (!r->ok()) {
+      std::cerr << "progression failed: " << r->status() << std::endl;
+      return 1;
+    }
+  }
 
   std::cout << "\nFigure 6 (normalized SSE) and Figure 7 (normalized "
                "cursored SSE), both progressions:\n";
@@ -75,10 +81,10 @@ int Main(int argc, char** argv) {
   // The two traces share checkpoint positions (same trace parameters and
   // master-list size).
   const size_t rows =
-      std::min(by_sse.points().size(), by_cursored.points().size());
+      std::min(by_sse->points().size(), by_cursored->points().size());
   for (size_t i = 0; i < rows; ++i) {
-    const auto& a = by_sse.points()[i];
-    const auto& b = by_cursored.points()[i];
+    const auto& a = by_sse->points()[i];
+    const auto& b = by_cursored->points()[i];
     table.AddRow({std::to_string(a.retrieved),
                   FormatDouble(a.penalties[0]),
                   FormatDouble(b.penalties[0]),

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/master_list.h"
-#include "core/progressive.h"
 #include "data/generators.h"
 #include "engine/eval_plan.h"
 #include "engine/eval_session.h"
@@ -184,40 +183,11 @@ BENCHMARK(BM_LazyVsDense1DTransform)
     ->ArgsProduct({{1024, 65536, 1 << 20}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
-void BM_ProgressiveStep(benchmark::State& state) {
-  // Cost of one Batch-Biggest-B step on the standard workload shape.
-  TemperatureDatasetOptions options;
-  options.lat_size = 32;
-  options.lon_size = 32;
-  options.alt_size = 4;
-  options.time_size = 8;
-  options.temp_size = 16;
-  options.num_records = 200000;
-  DenseCube cube = MakeTemperatureCube(options);
-  const std::vector<size_t> parts = {8, 8, 1, 1, 1};
-  PartitionWorkload w = MakePartitionWorkload(
-      cube.schema(), parts, CellAggregate::kSum, kTemp, 5);
-  WaveletStrategy strategy(cube.schema(), WaveletKind::kDb4);
-  auto store = strategy.BuildStore(cube);
-  MasterList list = MasterList::Build(w.batch, strategy).value();
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&list, &sse, store.get());
-  for (auto _ : state) {
-    if (ev.Done()) {
-      state.PauseTiming();
-      ev = ProgressiveEvaluator(&list, &sse, store.get());
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(ev.Step());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ProgressiveStep)->Unit(benchmark::kNanosecond);
-
 void BM_EngineSessionStep(benchmark::State& state) {
-  // Same workload through the engine layer: the plan is built once and the
-  // per-step cost is just cursor advance + fetch + estimate updates (no
-  // heap pop — the progression order is a precomputed permutation).
+  // Cost of one Batch-Biggest-B step on the standard workload shape: the
+  // plan is built once and the per-step cost is just cursor advance +
+  // fetch + estimate updates (no heap pop — the progression order is a
+  // precomputed permutation).
   TemperatureDatasetOptions options;
   options.lat_size = 32;
   options.lon_size = 32;

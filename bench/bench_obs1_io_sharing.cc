@@ -41,23 +41,23 @@ int Main(int argc, char** argv) {
 
   // Wavelet view (the paper's primary rows).
   table.AddRow({"wavelet-db4", "per-query (naive)",
-                std::to_string(exp.list.TotalQueryCoefficients()),
+                std::to_string(exp.list->TotalQueryCoefficients()),
                 FormatDouble(static_cast<double>(
-                                 exp.list.TotalQueryCoefficients()) /
+                                 exp.list->TotalQueryCoefficients()) /
                                  s,
                              4),
                 "s independent ProPolyne instances"});
   table.AddRow({"wavelet-db4", "Batch-Biggest-B (shared)",
-                std::to_string(exp.list.size()),
-                FormatDouble(static_cast<double>(exp.list.size()) / s, 4),
+                std::to_string(exp.list->size()),
+                FormatDouble(static_cast<double>(exp.list->size()) / s, 4),
                 "master-list size"});
   const double sharing =
-      static_cast<double>(exp.list.TotalQueryCoefficients()) /
-      static_cast<double>(exp.list.size());
+      static_cast<double>(exp.list->TotalQueryCoefficients()) /
+      static_cast<double>(exp.list->size());
   table.AddRow({"wavelet-db4", "sharing factor", FormatDouble(sharing, 4),
                 "", "naive / shared"});
   table.AddRow({"wavelet-db4", "max sharing",
-                std::to_string(exp.list.MaxSharing()), "",
+                std::to_string(exp.list->MaxSharing()), "",
                 "queries on one coefficient"});
 
   // Prefix-sum view.
@@ -124,8 +124,8 @@ int Main(int argc, char** argv) {
     params["method"] = method;
     json.Add("obs1_io_sharing", params, elapsed_ns, retrievals);
   };
-  add("wavelet-db4", "per_query_naive", exp.list.TotalQueryCoefficients());
-  add("wavelet-db4", "batch_biggest_b_shared", exp.list.size());
+  add("wavelet-db4", "per_query_naive", exp.list->TotalQueryCoefficients());
+  add("wavelet-db4", "batch_biggest_b_shared", exp.list->size());
   add("prefix-sum", "per_query_naive", prefix_list->TotalQueryCoefficients());
   add("prefix-sum", "batch_biggest_b_shared", prefix_list->size());
   add("identity", "per_query_naive", identity_cost);

@@ -16,13 +16,13 @@ namespace wavebatch {
 /// exactly as long as the EvalPlan that handed it out (sessions hold the
 /// plan via shared_ptr, so their kernel never dangles).
 ///
-/// Everything here preserves the legacy evaluators' floating-point behavior
-/// bit for bit: uses are applied in CSR row order (= ascending query index,
-/// the order the core/ reference loops use), zero data skips the whole
-/// entry (exactly the legacy `data == 0` early-out), and importance is
-/// consumed with the same clamped subtraction in the same consumption
-/// order. The only difference is mechanical: software prefetch of the next
-/// entry's use range while the current one is applied.
+/// Everything here preserves the reference evaluators' floating-point
+/// behavior bit for bit: uses are applied in CSR row order (= ascending
+/// query index, the order the tests/reference/ loops use), zero data skips
+/// the whole entry (exactly the reference `data == 0` early-out), and
+/// importance is consumed with the same clamped subtraction in the same
+/// consumption order. The only difference is mechanical: software prefetch
+/// of the next entry's use range while the current one is applied.
 struct ApplyKernel {
   const uint64_t* keys = nullptr;
   const uint64_t* offsets = nullptr;  // size() + 1 prefix offsets

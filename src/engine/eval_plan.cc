@@ -66,7 +66,7 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
   // const read), so they fan out in fixed chunks, each chunk scribbling in
   // its own column buffer — every importance_[i] is the same value the
   // serial loop computes. The total is then summed serially in entry order:
-  // the same floating-point sequence as the legacy evaluator, so sessions
+  // the same floating-point sequence as the reference evaluator, so sessions
   // reproduce its bounds bit for bit.
   if (penalty_ != nullptr) {
     importance_.resize(n);
@@ -106,7 +106,7 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
   // magnitude, one per round; an entry already consumed by an earlier query
   // is skipped, i.e. the raw round-robin sequence collapses onto first
   // appearances. The per-query sorts are independent and fan out across
-  // queries; each one is the exact std::sort call the legacy evaluator
+  // queries; each one is the exact std::sort call the reference evaluator
   // makes (same comparator, same input sequence), so equal-magnitude ties
   // resolve identically. The collapse is inherently sequential and stays
   // serial.

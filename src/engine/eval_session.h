@@ -51,8 +51,9 @@ enum class FaultPolicy {
 ///   ablation orders    — {kRoundRobin / kRandom / kKeyOrder}
 ///   block-granularity  — Options::block_of set + StepBlock()
 ///   bounded workspace  — engine/bounded.h groups queries into sessions
-/// All of them reproduce the legacy core/ evaluators bit for bit
-/// (estimates, bounds, and retrieval counts) — enforced by engine_test.
+/// All of them reproduce the reference evaluators in tests/reference/ bit
+/// for bit (estimates, bounds, and retrieval counts) — enforced by
+/// engine_test.
 struct EvalSessionOptions {
   ProgressionOrder order = ProgressionOrder::kBiggestB;
   /// Only read under kRandom.

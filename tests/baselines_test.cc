@@ -2,8 +2,9 @@
 
 #include "baselines/compressed_view.h"
 #include "baselines/online_aggregation.h"
-#include "core/exact.h"
 #include "data/generators.h"
+#include "engine/eval_plan.h"
+#include "engine/eval_session.h"
 #include "gtest/gtest.h"
 #include "strategy/wavelet_strategy.h"
 #include "util/random.h"
@@ -54,13 +55,21 @@ TEST(CompressedViewTest, QueryErrorShrinksWithBudget) {
     uint32_t hi = lo + static_cast<uint32_t>(rng.UniformInt(32 - lo));
     batch.Add(RangeSumQuery::Count(Range::All(schema).Restrict(0, lo, hi)));
   }
-  MasterList list = MasterList::Build(batch, strategy).value();
-  std::vector<double> exact = EvaluateShared(list, *full).results;
-  auto sse_of = [&](CoefficientStore& store) {
-    ExactBatchResult res = EvaluateShared(list, store);
+  // Exact shared evaluation: a key-order session run to completion.
+  auto plan = EvalPlan::Build(batch, strategy, /*penalty=*/nullptr).value();
+  auto answers = [&](const CoefficientStore& store) {
+    EvalSession::Options opts;
+    opts.order = ProgressionOrder::kKeyOrder;
+    EvalSession session(plan, UnownedStore(store), opts);
+    EXPECT_TRUE(session.RunToExact().ok());
+    return session.Estimates();
+  };
+  std::vector<double> exact = answers(*full);
+  auto sse_of = [&](const CoefficientStore& store) {
+    std::vector<double> res = answers(store);
     double acc = 0.0;
     for (size_t i = 0; i < exact.size(); ++i) {
-      const double e = res.results[i] - exact[i];
+      const double e = res[i] - exact[i];
       acc += e * e;
     }
     return acc;

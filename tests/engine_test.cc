@@ -1,8 +1,8 @@
 // The engine layer's contract: EvalPlan + EvalSession reproduce every
-// legacy evaluation mode bit for bit — estimates, Theorem 1/2 bound
-// trackers, and retrieval counts — across all four progression orders and
-// all four store backends, while fixing the lifetime and accounting
-// problems (shared ownership, per-session IoStats).
+// reference evaluator (tests/reference/) bit for bit — estimates, Theorem
+// 1/2 bound trackers, and retrieval counts — across all four progression
+// orders and all four store backends, while fixing the lifetime and
+// accounting problems (shared ownership, per-session IoStats).
 
 #include "engine/eval_plan.h"
 #include "engine/eval_session.h"
@@ -13,15 +13,14 @@
 #include <string>
 #include <vector>
 
-#include "core/block_progressive.h"
-#include "core/bounded_workspace.h"
-#include "core/exact.h"
-#include "core/progressive.h"
 #include "data/generators.h"
 #include "engine/bounded.h"
 #include "engine/plan_cache.h"
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
+#include "reference/block_progressive.h"
+#include "reference/bounded_workspace.h"
+#include "reference/progressive.h"
 #include "storage/block_store.h"
 #include "storage/dense_store.h"
 #include "storage/fault_injection_store.h"
@@ -301,18 +300,22 @@ TEST(EnginePlanTest, BiggestBPermutationIsDecreasingImportance) {
   }
 }
 
-TEST(EngineSessionTest, KeyOrderRunToExactMatchesEvaluateShared) {
+TEST(EngineSessionTest, KeyOrderRunToExactMatchesReferenceRunToCompletion) {
+  // Exact shared evaluation is a key-order session run to the end; the
+  // reference walks the same entries in the same FetchBatch chunks.
   Fixture f;
-  ExactBatchResult shared = EvaluateShared(*f.list, *f.store);
+  ProgressiveEvaluator reference(f.list.get(), f.sse.get(), f.store.get(),
+                                 ProgressionOrder::kKeyOrder);
+  reference.RunToCompletion();
   EvalSession::Options opts;
   opts.order = ProgressionOrder::kKeyOrder;
   EvalSession session(f.plan, UnownedStore(*f.store), opts);
   ASSERT_TRUE(session.RunToExact().ok());
-  ASSERT_EQ(session.Estimates().size(), shared.results.size());
-  for (size_t q = 0; q < shared.results.size(); ++q) {
-    EXPECT_EQ(session.Estimates()[q], shared.results[q]);
+  ASSERT_EQ(session.Estimates().size(), reference.Estimates().size());
+  for (size_t q = 0; q < reference.Estimates().size(); ++q) {
+    EXPECT_EQ(session.Estimates()[q], reference.Estimates()[q]);
   }
-  EXPECT_EQ(session.io().retrievals, shared.retrievals);
+  EXPECT_EQ(session.io(), reference.io());
 }
 
 TEST(EngineSessionTest, PenaltyFreePlanRunsExactOnly) {

@@ -7,8 +7,9 @@
 #include <string>
 #include <vector>
 
-#include "core/exact.h"
 #include "data/generators.h"
+#include "engine/eval_plan.h"
+#include "engine/eval_session.h"
 #include "gtest/gtest.h"
 #include "strategy/wavelet_strategy.h"
 #include "wavelet/dwt_nd.h"
@@ -180,14 +181,19 @@ TEST_F(FileStoreTest, AnswersBatchQueriesLikeInMemoryStore) {
   QueryBatch batch(schema);
   batch.Add(RangeSumQuery::Count(Range::All(schema).Restrict(0, 3, 12)));
   batch.Add(RangeSumQuery::Sum(Range::All(schema), 1));
-  MasterList list = MasterList::Build(batch, strategy).value();
-  ExactBatchResult from_file = EvaluateShared(list, **file_store);
-  ExactBatchResult from_memory = EvaluateShared(list, *memory_store);
-  ASSERT_EQ(from_file.results.size(), from_memory.results.size());
-  for (size_t i = 0; i < from_file.results.size(); ++i) {
-    EXPECT_NEAR(from_file.results[i], from_memory.results[i], 1e-9);
+  // Exact shared evaluation: key-order sessions run to completion.
+  auto plan = EvalPlan::Build(batch, strategy, /*penalty=*/nullptr).value();
+  EvalSession::Options opts;
+  opts.order = ProgressionOrder::kKeyOrder;
+  EvalSession from_file(plan, std::move(file_store).value(), opts);
+  EvalSession from_memory(plan, std::move(memory_store), opts);
+  ASSERT_TRUE(from_file.RunToExact().ok());
+  ASSERT_TRUE(from_memory.RunToExact().ok());
+  ASSERT_EQ(from_file.Estimates().size(), from_memory.Estimates().size());
+  for (size_t i = 0; i < from_file.Estimates().size(); ++i) {
+    EXPECT_NEAR(from_file.Estimates()[i], from_memory.Estimates()[i], 1e-9);
   }
-  EXPECT_EQ(from_file.retrievals, from_memory.retrievals);
+  EXPECT_EQ(from_file.io().retrievals, from_memory.io().retrievals);
 }
 
 }  // namespace

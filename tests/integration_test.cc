@@ -6,15 +6,14 @@
 #include <cmath>
 #include <memory>
 
-#include "core/exact.h"
-#include "core/progressive.h"
-#include "core/trace.h"
 #include "data/generators.h"
 #include "data/workloads.h"
-#include "query/derived.h"
+#include "engine/eval_plan.h"
+#include "engine/eval_session.h"
 #include "gtest/gtest.h"
 #include "penalty/laplacian.h"
 #include "penalty/sse.h"
+#include "query/derived.h"
 #include "strategy/prefix_sum_strategy.h"
 #include "strategy/wavelet_strategy.h"
 
@@ -37,6 +36,18 @@ double EntryImportance(const MasterList& list, size_t i,
   return importance;
 }
 
+// Exact shared evaluation: a key-order session over a penalty-free plan,
+// run to completion (each needed coefficient fetched once).
+std::vector<double> SharedExact(std::shared_ptr<const MasterList> list,
+                                std::shared_ptr<const CoefficientStore> store) {
+  EvalSession::Options opts;
+  opts.order = ProgressionOrder::kKeyOrder;
+  EvalSession session(EvalPlan::FromMasterList(std::move(list), nullptr),
+                      std::move(store), opts);
+  EXPECT_TRUE(session.RunToExact().ok());
+  return session.Estimates();
+}
+
 class IntegrationTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -54,16 +65,16 @@ class IntegrationTest : public ::testing::Test {
         rel_->schema(), parts, CellAggregate::kSum, kTemp, 1234));
 
     strategy_ = new WaveletStrategy(rel_->schema(), WaveletKind::kDb4);
-    store_ = strategy_->BuildStore(rel_->FrequencyDistribution()).release();
-    list_ = new MasterList(
+    store_ = strategy_->BuildStore(rel_->FrequencyDistribution());
+    list_ = std::make_shared<const MasterList>(
         MasterList::Build(workload_->batch, *strategy_).value());
     exact_ = new std::vector<double>(workload_->batch.BruteForce(*rel_));
   }
 
   static void TearDownTestSuite() {
     delete exact_;
-    delete list_;
-    delete store_;
+    list_.reset();
+    store_.reset();
     delete strategy_;
     delete workload_;
     delete rel_;
@@ -72,23 +83,30 @@ class IntegrationTest : public ::testing::Test {
   static Relation* rel_;
   static PartitionWorkload* workload_;
   static WaveletStrategy* strategy_;
-  static CoefficientStore* store_;
-  static MasterList* list_;
+  static std::shared_ptr<const CoefficientStore> store_;
+  static std::shared_ptr<const MasterList> list_;
   static std::vector<double>* exact_;
+
+  /// A biggest-B session over the suite's master list, ordered by
+  /// `penalty`'s importances.
+  static EvalSession Session(std::shared_ptr<const PenaltyFunction> penalty) {
+    return EvalSession(EvalPlan::FromMasterList(list_, std::move(penalty)),
+                       store_);
+  }
 };
 
 Relation* IntegrationTest::rel_ = nullptr;
 PartitionWorkload* IntegrationTest::workload_ = nullptr;
 WaveletStrategy* IntegrationTest::strategy_ = nullptr;
-CoefficientStore* IntegrationTest::store_ = nullptr;
-MasterList* IntegrationTest::list_ = nullptr;
+std::shared_ptr<const CoefficientStore> IntegrationTest::store_;
+std::shared_ptr<const MasterList> IntegrationTest::list_;
 std::vector<double>* IntegrationTest::exact_ = nullptr;
 
 TEST_F(IntegrationTest, SharedExactMatchesBruteForce) {
-  ExactBatchResult shared = EvaluateShared(*list_, *store_);
-  ASSERT_EQ(shared.results.size(), exact_->size());
+  std::vector<double> shared = SharedExact(list_, store_);
+  ASSERT_EQ(shared.size(), exact_->size());
   for (size_t i = 0; i < exact_->size(); ++i) {
-    EXPECT_NEAR(shared.results[i], (*exact_)[i],
+    EXPECT_NEAR(shared[i], (*exact_)[i],
                 1e-6 * (1.0 + std::abs((*exact_)[i])));
   }
 }
@@ -107,8 +125,7 @@ TEST_F(IntegrationTest, ProgressiveMreDecaysByOrdersOfMagnitude) {
   // well before the master list is exhausted. (The paper's "<1% after one
   // coefficient per query" headline depends on the paper-scale domain and
   // data density; bench_fig5_mre reproduces it at full scale.)
-  SsePenalty sse;
-  ProgressiveEvaluator ev(list_, &sse, store_);
+  EvalSession ev = Session(std::make_shared<SsePenalty>());
   auto mre = [&] {
     double sum_rel = 0.0;
     size_t counted = 0;
@@ -120,11 +137,11 @@ TEST_F(IntegrationTest, ProgressiveMreDecaysByOrdersOfMagnitude) {
     }
     return counted ? sum_rel / counted : 0.0;
   };
-  ev.StepMany(16);
+  ASSERT_TRUE(ev.StepMany(16).ok());
   const double early = mre();
-  ev.StepMany(list_->size() / 2 - ev.StepsTaken());
+  ASSERT_TRUE(ev.StepMany(list_->size() / 2 - ev.StepsTaken()).ok());
   const double mid = mre();
-  ev.RunToCompletion();
+  ASSERT_TRUE(ev.RunToExact().ok());
   const double final = mre();
   EXPECT_LT(mid, early / 3.0);
   EXPECT_LT(final, 1e-9);
@@ -137,14 +154,14 @@ TEST_F(IntegrationTest, CursoredPenaltySteersPrecisionToCursor) {
   // pattern at late budgets (asserted here with slack); at early budgets
   // it can transiently invert because importance is data-independent —
   // bench_fig6_7_penalties traces the full curves.
-  SsePenalty sse;
+  auto sse = std::make_shared<SsePenalty>();
   std::vector<size_t> cursor;
   for (size_t i = 0; i < 8; ++i) cursor.push_back(i);  // 8 neighboring cells
-  WeightedSsePenalty cursored =
-      CursoredSsePenalty(workload_->batch.size(), cursor, 10.0);
+  auto cursored = std::make_shared<WeightedSsePenalty>(
+      CursoredSsePenalty(workload_->batch.size(), cursor, 10.0));
 
-  ProgressiveEvaluator ev_sse(list_, &sse, store_);
-  ProgressiveEvaluator ev_cur(list_, &cursored, store_);
+  EvalSession ev_sse = Session(sse);
+  EvalSession ev_cur = Session(cursored);
   std::vector<bool> used_sse(list_->size(), false);
   std::vector<bool> used_cur(list_->size(), false);
   auto remaining = [&](const PenaltyFunction& p,
@@ -159,16 +176,16 @@ TEST_F(IntegrationTest, CursoredPenaltySteersPrecisionToCursor) {
   };
   for (double frac : {0.125, 0.5}) {
     const size_t budget = static_cast<size_t>(frac * list_->size());
-    while (ev_sse.StepsTaken() < budget) used_sse[ev_sse.Step()] = true;
-    while (ev_cur.StepsTaken() < budget) used_cur[ev_cur.Step()] = true;
+    while (ev_sse.StepsTaken() < budget) used_sse[ev_sse.Step().value()] = true;
+    while (ev_cur.StepsTaken() < budget) used_cur[ev_cur.Step().value()] = true;
     // Guaranteed-risk dominance under each progression's own penalty.
-    EXPECT_LE(remaining(cursored, used_cur),
-              remaining(cursored, used_sse) + 1e-9);
-    EXPECT_LE(remaining(sse, used_sse), remaining(sse, used_cur) + 1e-9);
+    EXPECT_LE(remaining(*cursored, used_cur),
+              remaining(*cursored, used_sse) + 1e-9);
+    EXPECT_LE(remaining(*sse, used_sse), remaining(*sse, used_cur) + 1e-9);
   }
   // Both progressions land on the exact results.
-  ev_sse.RunToCompletion();
-  ev_cur.RunToCompletion();
+  ASSERT_TRUE(ev_sse.RunToExact().ok());
+  ASSERT_TRUE(ev_cur.RunToExact().ok());
   for (size_t i = 0; i < exact_->size(); ++i) {
     EXPECT_NEAR(ev_cur.Estimates()[i], (*exact_)[i],
                 1e-6 * (1.0 + std::abs((*exact_)[i])));
@@ -178,12 +195,13 @@ TEST_F(IntegrationTest, CursoredPenaltySteersPrecisionToCursor) {
 TEST_F(IntegrationTest, PrefixSumStrategyAgreesAndIsCheapPerQuery) {
   PrefixSumStrategy ps(rel_->schema(),
                        PrefixSumStrategy::CollectMonomials(workload_->batch));
-  auto ps_store = ps.BuildStore(rel_->FrequencyDistribution());
   Result<MasterList> ps_list = MasterList::Build(workload_->batch, ps);
   ASSERT_TRUE(ps_list.ok()) << ps_list.status();
-  ExactBatchResult shared = EvaluateShared(*ps_list, *ps_store);
+  std::vector<double> shared =
+      SharedExact(std::make_shared<const MasterList>(*ps_list),
+                  ps.BuildStore(rel_->FrequencyDistribution()));
   for (size_t i = 0; i < exact_->size(); ++i) {
-    EXPECT_NEAR(shared.results[i], (*exact_)[i],
+    EXPECT_NEAR(shared[i], (*exact_)[i],
                 1e-6 * (1.0 + std::abs((*exact_)[i])));
   }
   // Prefix sums: ≤ 2^d corners per query, and grid sharing compresses the
@@ -202,37 +220,34 @@ TEST_F(IntegrationTest, LaplacianOrderOptimizesGuaranteedLaplacianRisk) {
   // (On a single smooth dataset the realized Laplacian error need not be
   // smaller — the theorems are worst-case/average statements — which
   // bench_ablation_orders quantifies empirically.)
-  SsePenalty sse;
-  LaplacianPenalty lap = LaplacianPenalty::ForGrid(workload_->partition);
-  ProgressiveEvaluator ev_sse(list_, &sse, store_);
-  ProgressiveEvaluator ev_lap(list_, &lap, store_);
-  // Remaining Laplacian importance for an evaluator's fetched set.
-  auto remaining_lap = [&](ProgressiveEvaluator& ev,
-                           std::vector<bool>& fetched) {
+  auto lap = std::make_shared<LaplacianPenalty>(
+      LaplacianPenalty::ForGrid(workload_->partition));
+  EvalSession ev_sse = Session(std::make_shared<SsePenalty>());
+  EvalSession ev_lap = Session(lap);
+  // Remaining Laplacian importance for a progression's fetched set.
+  auto remaining_lap = [&](const std::vector<bool>& fetched) {
     double total = 0.0;
     std::vector<double> column(workload_->batch.size(), 0.0);
     for (size_t i = 0; i < list_->size(); ++i) {
       if (fetched[i]) continue;
-      total += EntryImportance(*list_, i, lap, column);
+      total += EntryImportance(*list_, i, *lap, column);
     }
-    (void)ev;
     return total;
   };
   std::vector<bool> fetched_sse(list_->size(), false);
   std::vector<bool> fetched_lap(list_->size(), false);
   const size_t budget = list_->size() / 8;
   for (size_t b = 0; b < budget; ++b) {
-    fetched_sse[ev_sse.Step()] = true;
-    fetched_lap[ev_lap.Step()] = true;
+    fetched_sse[ev_sse.Step().value()] = true;
+    fetched_lap[ev_lap.Step().value()] = true;
   }
-  EXPECT_LE(remaining_lap(ev_lap, fetched_lap),
-            remaining_lap(ev_sse, fetched_sse) + 1e-9);
+  EXPECT_LE(remaining_lap(fetched_lap), remaining_lap(fetched_sse) + 1e-9);
   // Worst-case bound comparison (Theorem 1 with the Laplacian penalty).
   double max_unused_sse = 0.0, max_unused_lap = 0.0;
   {
     std::vector<double> column(workload_->batch.size(), 0.0);
     for (size_t i = 0; i < list_->size(); ++i) {
-      const double imp = EntryImportance(*list_, i, lap, column);
+      const double imp = EntryImportance(*list_, i, *lap, column);
       if (!fetched_sse[i]) max_unused_sse = std::max(max_unused_sse, imp);
       if (!fetched_lap[i]) max_unused_lap = std::max(max_unused_lap, imp);
     }
@@ -251,10 +266,11 @@ TEST_F(IntegrationTest, DerivedAveragePerCellFromSharedBatch) {
   }
   Result<MasterList> stats_list = MasterList::Build(stats_batch, *strategy_);
   ASSERT_TRUE(stats_list.ok());
-  ExactBatchResult res = EvaluateShared(*stats_list, *store_);
+  std::vector<double> res = SharedExact(
+      std::make_shared<const MasterList>(*stats_list), store_);
   std::vector<double> brute = stats_batch.BruteForce(*rel_);
   for (const AverageHandle& h : handles) {
-    const double got = FinishAverage(h, res.results);
+    const double got = FinishAverage(h, res);
     const double want = FinishAverage(h, brute);
     EXPECT_NEAR(got, want, 1e-5 * (1.0 + std::abs(want)));
   }
@@ -272,15 +288,16 @@ TEST_F(IntegrationTest, StreamingBuildAnswersSameAsDense) {
   options.num_records = 500;
   Relation small = MakeTemperatureDataset(options);
   WaveletStrategy strategy(small.schema(), WaveletKind::kDb4);
-  auto streaming = strategy.BuildStoreFromRelation(small);
   const std::vector<size_t> parts = {4, 4, 1, 1, 1};
   PartitionWorkload w = MakePartitionWorkload(
       small.schema(), parts, CellAggregate::kSum, kTemp, 5);
-  MasterList list = MasterList::Build(w.batch, strategy).value();
-  ExactBatchResult res = EvaluateShared(list, *streaming);
+  std::vector<double> res = SharedExact(
+      std::make_shared<const MasterList>(
+          MasterList::Build(w.batch, strategy).value()),
+      strategy.BuildStoreFromRelation(small));
   std::vector<double> brute = w.batch.BruteForce(small);
   for (size_t i = 0; i < brute.size(); ++i) {
-    EXPECT_NEAR(res.results[i], brute[i], 1e-5 * (1.0 + std::abs(brute[i])));
+    EXPECT_NEAR(res[i], brute[i], 1e-5 * (1.0 + std::abs(brute[i])));
   }
 }
 

@@ -1,10 +1,13 @@
-#include "core/progressive.h"
+// Batch-Biggest-B (Figure 1 of the paper) as the engine runs it: an
+// EvalSession over an EvalPlan, under every progression order.
 
+#include <cmath>
 #include <iterator>
 #include <memory>
 
-#include "core/exact.h"
 #include "data/generators.h"
+#include "engine/eval_plan.h"
+#include "engine/eval_session.h"
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
 #include "strategy/wavelet_strategy.h"
@@ -17,8 +20,10 @@ struct Fixture {
   Schema schema = Schema::Uniform(2, 16);
   Relation rel;
   QueryBatch batch;
-  MasterList list;
-  std::unique_ptr<CoefficientStore> store;
+  std::shared_ptr<const MasterList> list;
+  std::shared_ptr<const CoefficientStore> store;
+  std::shared_ptr<const SsePenalty> sse = std::make_shared<SsePenalty>();
+  std::shared_ptr<const EvalPlan> plan;
   std::vector<double> exact;
 
   Fixture() : rel(MakeUniformRelation(schema, 500, 3)), batch(schema) {
@@ -32,9 +37,19 @@ struct Fixture {
       batch.Add(RangeSumQuery::Count(
           Range::Create(schema, {{lo0, hi0}, {lo1, hi1}}).value()));
     }
-    list = MasterList::Build(batch, strategy).value();
+    list = std::make_shared<const MasterList>(
+        MasterList::Build(batch, strategy).value());
     store = strategy.BuildStore(rel.FrequencyDistribution());
+    plan = EvalPlan::FromMasterList(list, sse);
     exact = batch.BruteForce(rel);
+  }
+
+  EvalSession Session(ProgressionOrder order = ProgressionOrder::kBiggestB,
+                      uint64_t seed = 17) const {
+    EvalSession::Options opts;
+    opts.order = order;
+    opts.seed = seed;
+    return EvalSession(plan, store, opts);
   }
 };
 
@@ -43,12 +58,11 @@ class ProgressiveOrderTest : public ::testing::TestWithParam<ProgressionOrder> {
 
 TEST_P(ProgressiveOrderTest, CompletesToExactResults) {
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get(), GetParam(), 17);
+  EvalSession ev = f.Session(GetParam());
   EXPECT_EQ(ev.StepsTaken(), 0u);
-  ev.RunToCompletion();
+  ASSERT_TRUE(ev.RunToExact().ok());
   EXPECT_TRUE(ev.Done());
-  EXPECT_EQ(ev.StepsTaken(), f.list.size());
+  EXPECT_EQ(ev.StepsTaken(), f.list->size());
   for (size_t i = 0; i < f.exact.size(); ++i) {
     EXPECT_NEAR(ev.Estimates()[i], f.exact[i],
                 1e-6 * (1.0 + std::abs(f.exact[i])));
@@ -57,17 +71,15 @@ TEST_P(ProgressiveOrderTest, CompletesToExactResults) {
 
 TEST_P(ProgressiveOrderTest, EveryCoefficientFetchedExactlyOnce) {
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get(), GetParam(), 17);
-  ev.RunToCompletion();
-  EXPECT_EQ(ev.io().retrievals, f.list.size());
+  EvalSession ev = f.Session(GetParam());
+  ASSERT_TRUE(ev.RunToExact().ok());
+  EXPECT_EQ(ev.io().retrievals, f.list->size());
 }
 
 TEST_P(ProgressiveOrderTest, NextImportanceZeroWhenDone) {
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get(), GetParam(), 17);
-  ev.RunToCompletion();
+  EvalSession ev = f.Session(GetParam());
+  ASSERT_TRUE(ev.RunToExact().ok());
   EXPECT_EQ(ev.NextImportance(), 0.0);
 }
 
@@ -79,54 +91,49 @@ INSTANTIATE_TEST_SUITE_P(AllOrders, ProgressiveOrderTest,
 
 TEST(ProgressiveTest, BiggestBRetrievesInDecreasingImportance) {
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
+  EvalSession ev = f.Session();
   double prev = ev.NextImportance();
   while (!ev.Done()) {
     const double next = ev.NextImportance();
     EXPECT_LE(next, prev + 1e-12);
     prev = next;
-    ev.Step();
+    ASSERT_TRUE(ev.Step().ok());
   }
 }
 
 TEST(ProgressiveTest, StepReturnsConsumedEntry) {
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
+  EvalSession ev = f.Session();
   const double top = ev.NextImportance();
-  const size_t idx = ev.Step();
-  EXPECT_DOUBLE_EQ(ev.ImportanceOf(idx), top);
+  const size_t idx = ev.Step().value();
+  EXPECT_DOUBLE_EQ(f.plan->importance(idx), top);
 }
 
 TEST(ProgressiveTest, StepManyStopsAtCompletion) {
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
-  ev.StepMany(f.list.size() * 10);
+  EvalSession ev = f.Session();
+  ASSERT_TRUE(ev.StepMany(f.list->size() * 10).ok());
   EXPECT_TRUE(ev.Done());
 }
 
 TEST_P(ProgressiveOrderTest, StepManyOvershootMidRunStopsAtCompletion) {
   // n > TotalSteps() - StepsTaken() must finish cleanly, not over-step.
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get(), GetParam(), 17);
-  ev.StepMany(f.list.size() / 2);
+  EvalSession ev = f.Session(GetParam());
+  ASSERT_TRUE(ev.StepMany(f.list->size() / 2).ok());
   const uint64_t taken = ev.StepsTaken();
-  ev.StepMany((f.list.size() - taken) + 1000);
+  ASSERT_TRUE(ev.StepMany((f.list->size() - taken) + 1000).ok());
   EXPECT_TRUE(ev.Done());
-  EXPECT_EQ(ev.StepsTaken(), f.list.size());
-  EXPECT_EQ(ev.io().retrievals, f.list.size());
+  EXPECT_EQ(ev.StepsTaken(), f.list->size());
+  EXPECT_EQ(ev.io().retrievals, f.list->size());
 }
 
 TEST_P(ProgressiveOrderTest, StepBatchOvershootStopsAtCompletion) {
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get(), GetParam(), 17);
-  EXPECT_EQ(ev.StepBatch(f.list.size() + 999), f.list.size());
+  EvalSession ev = f.Session(GetParam());
+  EXPECT_EQ(ev.StepBatch(f.list->size() + 999).value(), f.list->size());
   EXPECT_TRUE(ev.Done());
-  EXPECT_EQ(ev.StepBatch(4), 0u);  // no-op once done
+  EXPECT_EQ(ev.StepBatch(4).value(), 0u);  // no-op once done
 }
 
 TEST_P(ProgressiveOrderTest, StepBatchGoldenMatchesScalarSteps) {
@@ -134,16 +141,15 @@ TEST_P(ProgressiveOrderTest, StepBatchGoldenMatchesScalarSteps) {
   // steps taken, retrieval counts, and both penalty trackers, at every
   // batch boundary, under every progression order.
   Fixture f;
-  SsePenalty sse;
   const double k = f.store->SumAbs();
-  ProgressiveEvaluator scalar(&f.list, &sse, f.store.get(), GetParam(), 17);
-  ProgressiveEvaluator batched(&f.list, &sse, f.store.get(), GetParam(), 17);
+  EvalSession scalar = f.Session(GetParam());
+  EvalSession batched = f.Session(GetParam());
   const size_t batch_sizes[] = {1, 3, 7, 16, 64};
   size_t bi = 0;
   while (!batched.Done()) {
     const size_t n = batch_sizes[bi++ % std::size(batch_sizes)];
-    const size_t taken = batched.StepBatch(n);
-    for (size_t i = 0; i < taken; ++i) scalar.Step();
+    const size_t taken = batched.StepBatch(n).value();
+    for (size_t i = 0; i < taken; ++i) ASSERT_TRUE(scalar.Step().ok());
     ASSERT_EQ(batched.StepsTaken(), scalar.StepsTaken());
     for (size_t q = 0; q < f.batch.size(); ++q) {
       EXPECT_EQ(batched.Estimates()[q], scalar.Estimates()[q])
@@ -155,7 +161,7 @@ TEST_P(ProgressiveOrderTest, StepBatchGoldenMatchesScalarSteps) {
   }
   EXPECT_TRUE(scalar.Done());
   // Batched and scalar twins cost the same retrievals.
-  EXPECT_EQ(scalar.io().retrievals, f.list.size());
+  EXPECT_EQ(scalar.io().retrievals, f.list->size());
   EXPECT_EQ(batched.io(), scalar.io());
 }
 
@@ -163,17 +169,16 @@ TEST(ProgressiveTest, PartialEstimatesAreBTermApproximations) {
   // After B steps the estimate equals the inner product of the B-term
   // truncated query with the data (cross-check against manual truncation).
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
-  const size_t b = f.list.size() / 3;
+  EvalSession ev = f.Session();
+  const size_t b = f.list->size() / 3;
   std::vector<size_t> used;
-  for (size_t i = 0; i < b; ++i) used.push_back(ev.Step());
+  for (size_t i = 0; i < b; ++i) used.push_back(ev.Step().value());
   std::vector<double> manual(f.batch.size(), 0.0);
-  const std::vector<uint64_t>& offsets = f.list.uses_offsets();
+  const std::vector<uint64_t>& offsets = f.list->uses_offsets();
   for (size_t idx : used) {
-    const double data = f.store->Peek(f.list.keys()[idx]);
+    const double data = f.store->Peek(f.list->keys()[idx]);
     for (uint64_t r = offsets[idx]; r < offsets[idx + 1]; ++r) {
-      manual[f.list.uses_query()[r]] += f.list.uses_coeff()[r] * data;
+      manual[f.list->uses_query()[r]] += f.list->uses_coeff()[r] * data;
     }
   }
   for (size_t q = 0; q < manual.size(); ++q) {
@@ -185,27 +190,25 @@ TEST(ProgressiveTest, WorstCaseBoundDominatesActualPenalty) {
   // Theorem 1: for the biggest-B progression, the SSE of the current
   // estimate never exceeds K²·ι(ξ′) where K = Σ|Δ̂|.
   Fixture f;
-  SsePenalty sse;
   const double k = f.store->SumAbs();
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
+  EvalSession ev = f.Session();
   while (!ev.Done()) {
     std::vector<double> err(f.exact.size());
     for (size_t i = 0; i < err.size(); ++i) {
       err[i] = ev.Estimates()[i] - f.exact[i];
     }
     // Allow for the tiny coefficients the rewrite thresholds away.
-    EXPECT_LE(sse.Apply(err), ev.WorstCaseBound(k) + 1e-5 * (1.0 + k * k));
-    ev.StepMany(7);
+    EXPECT_LE(f.sse->Apply(err), ev.WorstCaseBound(k) + 1e-5 * (1.0 + k * k));
+    ASSERT_TRUE(ev.StepMany(7).ok());
   }
 }
 
 TEST(ProgressiveTest, ExpectedPenaltyDecreasesMonotonically) {
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
+  EvalSession ev = f.Session();
   double prev = ev.ExpectedPenalty(f.schema.cell_count());
   while (!ev.Done()) {
-    ev.Step();
+    ASSERT_TRUE(ev.Step().ok());
     const double cur = ev.ExpectedPenalty(f.schema.cell_count());
     EXPECT_LE(cur, prev + 1e-12);
     prev = cur;
@@ -217,18 +220,14 @@ TEST(ProgressiveTest, RandomOrderIsSeedDeterministic) {
   // Same seed: the full progression (entry sequence and estimates) is
   // reproducible; a different seed permutes the list differently.
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator a(&f.list, &sse, f.store.get(),
-                         ProgressionOrder::kRandom, 99);
-  ProgressiveEvaluator b(&f.list, &sse, f.store.get(),
-                         ProgressionOrder::kRandom, 99);
-  ProgressiveEvaluator other(&f.list, &sse, f.store.get(),
-                             ProgressionOrder::kRandom, 100);
+  EvalSession a = f.Session(ProgressionOrder::kRandom, 99);
+  EvalSession b = f.Session(ProgressionOrder::kRandom, 99);
+  EvalSession other = f.Session(ProgressionOrder::kRandom, 100);
   bool any_differs = false;
   while (!a.Done()) {
-    const size_t entry = a.Step();
-    EXPECT_EQ(entry, b.Step());
-    any_differs |= entry != other.Step();
+    const size_t entry = a.Step().value();
+    EXPECT_EQ(entry, b.Step().value());
+    any_differs |= entry != other.Step().value();
     for (size_t q = 0; q < f.batch.size(); ++q) {
       EXPECT_EQ(a.Estimates()[q], b.Estimates()[q]);
     }
@@ -239,15 +238,13 @@ TEST(ProgressiveTest, RandomOrderIsSeedDeterministic) {
 TEST(ProgressiveTest, ImportanceMatchesPenaltyOfCoefficientColumn) {
   // Definition 3: ι_p(ξ) = p(q̂₀[ξ], …, q̂_{s−1}[ξ]).
   Fixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
-  const std::vector<uint64_t>& offsets = f.list.uses_offsets();
-  for (size_t i = 0; i < f.list.size(); ++i) {
+  const std::vector<uint64_t>& offsets = f.list->uses_offsets();
+  for (size_t i = 0; i < f.list->size(); ++i) {
     double expected = 0.0;
     for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
-      expected += f.list.uses_coeff()[r] * f.list.uses_coeff()[r];
+      expected += f.list->uses_coeff()[r] * f.list->uses_coeff()[r];
     }
-    EXPECT_NEAR(ev.ImportanceOf(i), expected, 1e-12);
+    EXPECT_NEAR(f.plan->importance(i), expected, 1e-12);
   }
 }
 

@@ -7,9 +7,9 @@
 #include <cmath>
 #include <memory>
 
-#include "core/exact.h"
-#include "core/progressive.h"
 #include "data/generators.h"
+#include "engine/eval_plan.h"
+#include "engine/eval_session.h"
 #include "gtest/gtest.h"
 #include "penalty/lp.h"
 #include "penalty/sse.h"
@@ -104,19 +104,20 @@ TEST_P(PipelinePropertyTest, Theorem1BoundHoldsOnArbitraryData) {
   for (int i = 0; i < 6; ++i) {
     batch.Add(RandomQuery(schema, p.degree, rng));
   }
-  Result<MasterList> list = MasterList::Build(batch, strategy);
-  ASSERT_TRUE(list.ok());
+  auto sse = std::make_shared<SsePenalty>();
+  Result<std::shared_ptr<const EvalPlan>> plan =
+      EvalPlan::Build(batch, strategy, sse);
+  ASSERT_TRUE(plan.ok());
   std::vector<double> exact = batch.BruteForce(rel);
-  SsePenalty sse;
   const double k = store->SumAbs();
-  ProgressiveEvaluator ev(&*list, &sse, store.get());
+  EvalSession ev(*plan, std::move(store));
   while (!ev.Done()) {
     std::vector<double> err(exact.size());
     for (size_t i = 0; i < err.size(); ++i) {
       err[i] = ev.Estimates()[i] - exact[i];
     }
-    EXPECT_LE(sse.Apply(err), ev.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-4);
-    ev.StepMany(list->size() / 7 + 1);
+    EXPECT_LE(sse->Apply(err), ev.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-4);
+    ASSERT_TRUE(ev.StepMany((*plan)->size() / 7 + 1).ok());
   }
 }
 
@@ -132,19 +133,20 @@ TEST_P(PipelinePropertyTest, LinfWorstCaseBoundAlsoHolds) {
   QueryBatch batch(schema);
   Rng rng(5000);
   for (int i = 0; i < 5; ++i) batch.Add(RandomQuery(schema, 0, rng));
-  Result<MasterList> list = MasterList::Build(batch, strategy);
-  ASSERT_TRUE(list.ok());
+  auto linf = std::make_shared<LpPenalty>(LpPenalty::Infinity());
+  Result<std::shared_ptr<const EvalPlan>> plan =
+      EvalPlan::Build(batch, strategy, linf);
+  ASSERT_TRUE(plan.ok());
   std::vector<double> exact = batch.BruteForce(rel);
-  LpPenalty linf = LpPenalty::Infinity();
   const double k = store->SumAbs();
-  ProgressiveEvaluator ev(&*list, &linf, store.get());
+  EvalSession ev(*plan, std::move(store));
   while (!ev.Done()) {
     std::vector<double> err(exact.size());
     for (size_t i = 0; i < err.size(); ++i) {
       err[i] = ev.Estimates()[i] - exact[i];
     }
-    EXPECT_LE(linf.Apply(err), ev.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-6);
-    ev.StepMany(list->size() / 5 + 1);
+    EXPECT_LE(linf->Apply(err), ev.WorstCaseBound(k) * (1.0 + 1e-6) + 1e-6);
+    ASSERT_TRUE(ev.StepMany((*plan)->size() / 5 + 1).ok());
   }
 }
 

@@ -1,4 +1,4 @@
-#include "core/block_progressive.h"
+#include "reference/block_progressive.h"
 
 #include <unordered_map>
 
@@ -56,8 +56,7 @@ size_t BlockProgressiveEvaluator::StepBlock() {
     keys.push_back(list_->keys()[entry_idx]);
   }
   std::vector<double> values(keys.size());
-  // Legacy evaluator: crash-on-error golden reference (see engine for the
-  // fault-tolerant path).
+  // Crash-on-error reference (fault tolerance is the engine's job).
   WB_CHECK_OK(store_->FetchBatch(keys, values, &io_));
   coefficients_fetched_ += block.entries.size();
   const std::vector<uint64_t>& offsets = list_->uses_offsets();
@@ -69,10 +68,6 @@ size_t BlockProgressiveEvaluator::StepBlock() {
     }
   }
   return block.entries.size();
-}
-
-void BlockProgressiveEvaluator::StepToBlocks(uint64_t n) {
-  while (!Done() && blocks_fetched_ < n) StepBlock();
 }
 
 double BlockProgressiveEvaluator::NextBlockImportance() const {

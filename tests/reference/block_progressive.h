@@ -1,5 +1,5 @@
-#ifndef WAVEBATCH_CORE_BLOCK_PROGRESSIVE_H_
-#define WAVEBATCH_CORE_BLOCK_PROGRESSIVE_H_
+#ifndef WAVEBATCH_TESTS_REFERENCE_BLOCK_PROGRESSIVE_H_
+#define WAVEBATCH_TESTS_REFERENCE_BLOCK_PROGRESSIVE_H_
 
 #include <cstdint>
 #include <functional>
@@ -20,6 +20,9 @@ namespace wavebatch {
 /// so greedy-by-total-importance minimizes the expected penalty among all
 /// progressions that fetch whole blocks); each step fetches one block —
 /// every needed coefficient on it — and advances all affected estimates.
+///
+/// Test-only reference implementation (a per-run heap over blocks) that
+/// engine_test holds block-granularity EvalSessions bit-identical against.
 class BlockProgressiveEvaluator {
  public:
   /// `list`, `penalty`, `store` must outlive the evaluator. `block_of`
@@ -38,10 +41,6 @@ class BlockProgressiveEvaluator {
   /// Fetches the most important unfetched block; returns the number of
   /// coefficients it contributed. Requires !Done().
   size_t StepBlock();
-
-  /// Fetches blocks until `n` blocks have been consumed in total (stops at
-  /// completion).
-  void StepToBlocks(uint64_t n);
 
   const std::vector<double>& Estimates() const { return estimates_; }
 
@@ -72,4 +71,4 @@ class BlockProgressiveEvaluator {
 
 }  // namespace wavebatch
 
-#endif  // WAVEBATCH_CORE_BLOCK_PROGRESSIVE_H_
+#endif  // WAVEBATCH_TESTS_REFERENCE_BLOCK_PROGRESSIVE_H_

@@ -1,5 +1,5 @@
-#ifndef WAVEBATCH_CORE_BOUNDED_WORKSPACE_H_
-#define WAVEBATCH_CORE_BOUNDED_WORKSPACE_H_
+#ifndef WAVEBATCH_TESTS_REFERENCE_BOUNDED_WORKSPACE_H_
+#define WAVEBATCH_TESTS_REFERENCE_BOUNDED_WORKSPACE_H_
 
 #include <cstdint>
 #include <vector>
@@ -24,25 +24,21 @@ struct BoundedWorkspaceResult {
 /// Exact batch evaluation under a workspace budget — the paper's Section
 /// 2.2 concern: the shared algorithm wants *all* nonzero query
 /// coefficients in memory at once, which for huge batches may be
-/// undesirable ("it is of practical interest to avoid simultaneous
-/// materialization of all of the query coefficients").
+/// undesirable.
 ///
 /// Queries are processed in greedy groups: each group's coefficient lists
-/// are materialized, merged, evaluated with full sharing, and discarded
-/// before the next group starts. `max_workspace_coefficients` bounds the
-/// materialized coefficients per group (a single query whose list exceeds
-/// the budget gets a group of its own — exactness is never sacrificed).
-/// Smaller budgets trade more repeated retrievals for less memory; an
-/// unbounded budget reproduces EvaluateShared exactly, a budget of one
-/// query reproduces EvaluateNaive. bench_ablation_workspace maps the
-/// trade-off curve.
+/// are materialized, merged, evaluated with full sharing (one pass over the
+/// master list in key order), and discarded before the next group starts.
+/// `max_workspace_coefficients` bounds the materialized coefficients per
+/// group (a single query whose list exceeds the budget gets a group of its
+/// own — exactness is never sacrificed).
 ///
-/// Superseded by engine::RunWithBoundedWorkspace; kept as the golden
-/// reference implementation.
+/// Test-only reference implementation that engine_test holds
+/// RunWithBoundedWorkspace bit-identical against.
 BoundedWorkspaceResult EvaluateWithBoundedWorkspace(
     const QueryBatch& batch, const LinearStrategy& strategy,
     const CoefficientStore& store, uint64_t max_workspace_coefficients);
 
 }  // namespace wavebatch
 
-#endif  // WAVEBATCH_CORE_BOUNDED_WORKSPACE_H_
+#endif  // WAVEBATCH_TESTS_REFERENCE_BOUNDED_WORKSPACE_H_

@@ -1,4 +1,4 @@
-#include "core/progressive.h"
+#include "reference/progressive.h"
 
 #include <algorithm>
 #include <cmath>
@@ -128,8 +128,7 @@ size_t ProgressiveEvaluator::PopNext() {
 size_t ProgressiveEvaluator::Step() {
   WB_CHECK(!Done()) << "Step() after completion";
   const size_t entry_idx = PopNext();
-  // Legacy evaluator: crash-on-error golden reference (see engine for the
-  // fault-tolerant path).
+  // Crash-on-error reference (fault tolerance is the engine's job).
   const double data = store_->Fetch(list_->keys()[entry_idx], &io_).value();
   ApplyEntry(entry_idx, data);
   return entry_idx;
@@ -141,10 +140,6 @@ void ProgressiveEvaluator::ApplyEntry(size_t entry_idx, double data) {
   for (uint64_t r = offsets[entry_idx]; r < offsets[entry_idx + 1]; ++r) {
     estimates_[list_->uses_query()[r]] += list_->uses_coeff()[r] * data;
   }
-}
-
-void ProgressiveEvaluator::StepMany(size_t n) {
-  for (size_t i = 0; i < n && !Done(); ++i) Step();
 }
 
 size_t ProgressiveEvaluator::StepBatch(size_t n) {

@@ -1,31 +1,15 @@
-#ifndef WAVEBATCH_CORE_PROGRESSIVE_H_
-#define WAVEBATCH_CORE_PROGRESSIVE_H_
+#ifndef WAVEBATCH_TESTS_REFERENCE_PROGRESSIVE_H_
+#define WAVEBATCH_TESTS_REFERENCE_PROGRESSIVE_H_
 
 #include <queue>
 #include <vector>
 
 #include "core/master_list.h"
+#include "engine/eval_plan.h"
 #include "penalty/penalty.h"
 #include "storage/coefficient_store.h"
 
 namespace wavebatch {
-
-/// Orders in which a progressive evaluation may walk the master list.
-/// kBiggestB is the paper's algorithm; the others are ablation baselines
-/// (all of them share I/O — the comparison isolates the *ordering*).
-enum class ProgressionOrder {
-  /// Decreasing importance ι_p — the Batch-Biggest-B order, optimal for
-  /// worst-case (Thm 1) and expected (Thm 2) penalty at every step.
-  kBiggestB,
-  /// Round-robin over queries, each advancing through its own coefficients
-  /// in decreasing |q̂_i| — the natural "s independent single-query
-  /// ProPolyne instances" order, with fetches deduplicated.
-  kRoundRobin,
-  /// Uniformly random order (seeded).
-  kRandom,
-  /// Ascending key order — what a pure sequential scan would do.
-  kKeyOrder,
-};
 
 /// Batch-Biggest-B (Figure 1 of the paper): progressive evaluation of a
 /// batch of vector queries. Construction performs steps 1–4 (zero
@@ -35,10 +19,10 @@ enum class ProgressionOrder {
 /// of every query that uses it. After the final step the estimates hold
 /// the exact results.
 ///
-/// Superseded by the engine layer (EvalPlan + EvalSession), which separates
-/// the shareable importance/order computation from the per-run cursor and
-/// owns its inputs via shared_ptr. Kept as the golden reference
-/// implementation the engine is tested bit-identical against.
+/// Test-only reference implementation: a direct transcription of the
+/// paper's heap-driven loop that engine_test and sharded_store_test hold
+/// EvalPlan + EvalSession bit-identical against. Library code evaluates
+/// through the engine.
 class ProgressiveEvaluator {
  public:
   /// `list`, `penalty`, and `store` must outlive the evaluator. `seed`
@@ -48,7 +32,6 @@ class ProgressiveEvaluator {
                        ProgressionOrder order = ProgressionOrder::kBiggestB,
                        uint64_t seed = 0);
 
-  size_t num_queries() const { return list_->num_queries(); }
   /// Total steps to exactness (= master list size).
   size_t TotalSteps() const { return list_->size(); }
   uint64_t StepsTaken() const { return steps_taken_; }
@@ -57,10 +40,6 @@ class ProgressiveEvaluator {
   /// One retrieval; requires !Done(). Returns the master-list entry index
   /// that was consumed.
   size_t Step();
-
-  /// Up to `n` further retrievals, one storage round-trip each (stops at
-  /// completion). Prefer StepBatch on batched backends.
-  void StepMany(size_t n);
 
   /// Up to `n` further retrievals issued as ONE CoefficientStore::FetchBatch:
   /// pops the next `n` entries in progression order, fetches their keys in
@@ -97,9 +76,6 @@ class ProgressiveEvaluator {
   /// by the cell count.) Meaningful for quadratic penalties.
   double ExpectedPenalty(uint64_t domain_cells) const;
 
-  /// Importance of master-list entry `i` under the evaluator's penalty.
-  double ImportanceOf(size_t i) const { return importance_[i]; }
-
   /// I/O charged by this evaluator's own fetches (the store itself keeps
   /// no counters).
   const IoStats& io() const { return io_; }
@@ -134,4 +110,4 @@ class ProgressiveEvaluator {
 
 }  // namespace wavebatch
 
-#endif  // WAVEBATCH_CORE_PROGRESSIVE_H_
+#endif  // WAVEBATCH_TESTS_REFERENCE_PROGRESSIVE_H_

@@ -15,12 +15,12 @@
 #include <utility>
 #include <vector>
 
-#include "core/progressive.h"
 #include "data/generators.h"
 #include "engine/eval_plan.h"
 #include "engine/eval_session.h"
 #include "gtest/gtest.h"
 #include "penalty/sse.h"
+#include "reference/progressive.h"
 #include "storage/block_store.h"
 #include "storage/fault_injection_store.h"
 #include "storage/key_router.h"

@@ -1,4 +1,4 @@
-#include "core/trace.h"
+#include "engine/progression_trace.h"
 
 #include <atomic>
 #include <chrono>
@@ -6,7 +6,6 @@
 #include <string_view>
 #include <thread>
 
-#include "core/exact.h"
 #include "data/generators.h"
 #include "engine/eval_plan.h"
 #include "engine/eval_session.h"
@@ -27,8 +26,10 @@ struct TraceFixture {
   Schema schema = Schema::Uniform(2, 16);
   Relation rel;
   QueryBatch batch;
-  MasterList list;
-  std::unique_ptr<CoefficientStore> store;
+  std::shared_ptr<const MasterList> list;
+  std::shared_ptr<CoefficientStore> store;
+  std::shared_ptr<const SsePenalty> sse = std::make_shared<SsePenalty>();
+  std::shared_ptr<const EvalPlan> plan;
   std::vector<double> exact;
 
   TraceFixture() : rel(MakeUniformRelation(schema, 400, 3)), batch(schema) {
@@ -37,21 +38,31 @@ struct TraceFixture {
       batch.Add(RangeSumQuery::Count(
           Range::All(schema).Restrict(0, i * 2, i * 2 + 1)));
     }
-    list = MasterList::Build(batch, strategy).value();
+    list = std::make_shared<const MasterList>(
+        MasterList::Build(batch, strategy).value());
     store = strategy.BuildStore(rel.FrequencyDistribution());
+    plan = EvalPlan::FromMasterList(list, sse);
     exact = batch.BruteForce(rel);
+  }
+
+  /// Traces a fresh biggest-B session over the fixture's store.
+  ProgressionTrace Trace(std::vector<ProgressionTrace::Measure> measures,
+                         uint64_t dense_until = 64, double growth = 1.15,
+                         double k_sum_abs = 0.0,
+                         uint64_t domain_cells = 0) const {
+    EvalSession session(plan, store);
+    return ProgressionTrace::Run(session, exact, std::move(measures),
+                                 dense_until, growth, k_sum_abs, domain_cells)
+        .value();
   }
 };
 
 TEST(TraceTest, StartsAtZeroAndEndsExact) {
   TraceFixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
-  ProgressionTrace trace =
-      ProgressionTrace::Run(ev, f.exact, {{"sse", &sse, 1.0}});
+  ProgressionTrace trace = f.Trace({{"sse", f.sse.get(), 1.0}});
   ASSERT_GE(trace.points().size(), 2u);
   EXPECT_EQ(trace.points().front().retrieved, 0u);
-  EXPECT_EQ(trace.points().back().retrieved, f.list.size());
+  EXPECT_EQ(trace.points().back().retrieved, f.list->size());
   // Final estimates are exact (modulo rewrite threshold).
   EXPECT_NEAR(trace.points().back().penalties[0], 0.0, 1e-6);
   EXPECT_NEAR(trace.points().back().mean_relative_error, 0.0, 1e-9);
@@ -59,10 +70,7 @@ TEST(TraceTest, StartsAtZeroAndEndsExact) {
 
 TEST(TraceTest, RetrievedStrictlyIncreases) {
   TraceFixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
-  ProgressionTrace trace =
-      ProgressionTrace::Run(ev, f.exact, {{"sse", &sse, 1.0}});
+  ProgressionTrace trace = f.Trace({{"sse", f.sse.get(), 1.0}});
   for (size_t i = 1; i < trace.points().size(); ++i) {
     EXPECT_GT(trace.points()[i].retrieved, trace.points()[i - 1].retrieved);
   }
@@ -70,10 +78,8 @@ TEST(TraceTest, RetrievedStrictlyIncreases) {
 
 TEST(TraceTest, DensePrefixThenGeometric) {
   TraceFixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
-  ProgressionTrace trace = ProgressionTrace::Run(
-      ev, f.exact, {{"sse", &sse, 1.0}}, /*dense_until=*/8, /*growth=*/1.5);
+  ProgressionTrace trace = f.Trace({{"sse", f.sse.get(), 1.0}},
+                                   /*dense_until=*/8, /*growth=*/1.5);
   // The first checkpoints are consecutive.
   for (size_t i = 1; i < 8 && i < trace.points().size(); ++i) {
     EXPECT_EQ(trace.points()[i].retrieved, trace.points()[i - 1].retrieved + 1);
@@ -82,15 +88,12 @@ TEST(TraceTest, DensePrefixThenGeometric) {
 
 TEST(TraceTest, MultipleMeasuresAndNormalizers) {
   TraceFixture f;
-  SsePenalty sse;
   WeightedSsePenalty cursored =
       CursoredSsePenalty(f.batch.size(), std::vector<size_t>{0, 1}, 10.0);
   double norm = 0.0;
   for (double e : f.exact) norm += e * e;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
-  ProgressionTrace trace = ProgressionTrace::Run(
-      ev, f.exact,
-      {{"nsse", &sse, norm}, {"cursored", &cursored, 1.0}});
+  ProgressionTrace trace =
+      f.Trace({{"nsse", f.sse.get(), norm}, {"cursored", &cursored, 1.0}});
   ASSERT_EQ(trace.measure_names().size(), 2u);
   // Normalized SSE at step 0 with zero estimates = Σexact²/norm = 1.
   EXPECT_NEAR(trace.points().front().penalties[0], 1.0, 1e-9);
@@ -98,11 +101,9 @@ TEST(TraceTest, MultipleMeasuresAndNormalizers) {
 
 TEST(TraceTest, BoundsColumnsFilled) {
   TraceFixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
   const double k = f.store->SumAbs();
-  ProgressionTrace trace = ProgressionTrace::Run(
-      ev, f.exact, {{"sse", &sse, 1.0}}, 16, 1.3, k, f.schema.cell_count());
+  ProgressionTrace trace = f.Trace({{"sse", f.sse.get(), 1.0}}, 16, 1.3, k,
+                                   f.schema.cell_count());
   // Bound dominates measured penalty at every checkpoint.
   for (const auto& pt : trace.points()) {
     EXPECT_LE(pt.penalties[0], pt.worst_case_bound + 1e-5 * (1 + k * k));
@@ -113,26 +114,22 @@ TEST(TraceTest, BoundsColumnsFilled) {
 
 TEST(TraceTest, TableShape) {
   TraceFixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
-  ProgressionTrace trace =
-      ProgressionTrace::Run(ev, f.exact, {{"sse", &sse, 1.0}});
+  ProgressionTrace trace = f.Trace({{"sse", f.sse.get(), 1.0}});
   Table table = trace.ToTable();
   EXPECT_EQ(table.num_rows(), trace.points().size());
   std::ostringstream os;
   table.PrintCsv(os);
   EXPECT_NE(os.str().find("retrieved,sse,mean_rel_err,max_rel_err"),
             std::string::npos);
+  // A kFail session never reports skipped mass, so the column is absent.
+  EXPECT_EQ(os.str().find("skipped_importance"), std::string::npos);
 }
 
 TEST(TraceTest, SsePenaltyDecreasesOverall) {
   // Not necessarily monotone step-to-step on one dataset, but the curve
   // must collapse by orders of magnitude from start to finish.
   TraceFixture f;
-  SsePenalty sse;
-  ProgressiveEvaluator ev(&f.list, &sse, f.store.get());
-  ProgressionTrace trace =
-      ProgressionTrace::Run(ev, f.exact, {{"sse", &sse, 1.0}});
+  ProgressionTrace trace = f.Trace({{"sse", f.sse.get(), 1.0}});
   const double start = trace.points().front().penalties[0];
   const double end = trace.points().back().penalties[0];
   EXPECT_GT(start, 0.0);
@@ -140,25 +137,22 @@ TEST(TraceTest, SsePenaltyDecreasesOverall) {
 }
 
 TEST(TraceTest, SkippedImportanceColumnForDegradedSessions) {
-  // An EvalSession in kSkip mode gets the extra skipped_importance column;
-  // it starts at 0, jumps when a fault is absorbed, and never decreases.
+  // A session in kSkip mode gets the extra skipped_importance column; it
+  // starts at 0, jumps when a fault is absorbed, and never decreases.
   TraceFixture f;
-  auto shared_sse = std::make_shared<SsePenalty>();
-  auto plan = EvalPlan::FromMasterList(
-      std::make_shared<const MasterList>(f.list), shared_sse);
-
   FaultInjectionStore faulty(f.store.get());
   const std::span<const size_t> order =
-      plan->Permutation(ProgressionOrder::kBiggestB);
+      f.plan->Permutation(ProgressionOrder::kBiggestB);
   const size_t failed_entry = order[3];
-  faulty.FailKey(f.list.keys()[failed_entry]);
-  const double failed_importance = plan->importance(failed_entry);
+  faulty.FailKey(f.list->keys()[failed_entry]);
+  const double failed_importance = f.plan->importance(failed_entry);
 
   EvalSession::Options opts;
   opts.fault_policy = FaultPolicy::kSkip;
-  EvalSession session(plan, UnownedStore(faulty), opts);
-  ProgressionTrace trace = ProgressionTrace::Run(
-      session, f.exact, {{"sse", shared_sse.get(), 1.0}});
+  EvalSession session(f.plan, UnownedStore(faulty), opts);
+  ProgressionTrace trace =
+      ProgressionTrace::Run(session, f.exact, {{"sse", f.sse.get(), 1.0}})
+          .value();
 
   EXPECT_DOUBLE_EQ(trace.points().front().skipped_importance, 0.0);
   for (size_t i = 1; i < trace.points().size(); ++i) {
@@ -168,19 +162,38 @@ TEST(TraceTest, SkippedImportanceColumnForDegradedSessions) {
   EXPECT_DOUBLE_EQ(trace.points().back().skipped_importance,
                    failed_importance);
 
-  // The column shows up in the table under kSkip…
+  // The column shows up in the table under kSkip (and is absent under
+  // kFail, per TableShape above).
   std::ostringstream os;
   trace.ToTable().PrintCsv(os);
   EXPECT_NE(os.str().find("skipped_importance"), std::string::npos);
+}
 
-  // …and is absent for a kFail session (and for the legacy evaluator, per
-  // TableShape above).
-  EvalSession clean(plan, UnownedStore(*f.store));
-  ProgressionTrace clean_trace = ProgressionTrace::Run(
-      clean, f.exact, {{"sse", shared_sse.get(), 1.0}});
-  std::ostringstream clean_os;
-  clean_trace.ToTable().PrintCsv(clean_os);
-  EXPECT_EQ(clean_os.str().find("skipped_importance"), std::string::npos);
+TEST(TraceTest, FailSessionReturnsStatusOnPersistentFault) {
+  // A kFail session whose next coefficient never becomes readable cannot
+  // advance, so the run must end with that step's Status (retrying it
+  // would spin forever) and leave the session resumable on that step.
+  TraceFixture f;
+  FaultInjectionStore faulty(f.store.get());
+  const std::span<const size_t> order =
+      f.plan->Permutation(ProgressionOrder::kBiggestB);
+  faulty.FailKey(f.list->keys()[order[3]]);
+
+  EvalSession session(f.plan, UnownedStore(faulty));
+  Result<ProgressionTrace> trace =
+      ProgressionTrace::Run(session, f.exact, {{"sse", f.sse.get(), 1.0}});
+  ASSERT_FALSE(trace.ok());
+  EXPECT_EQ(trace.status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(session.StepsTaken(), 3u);
+  EXPECT_FALSE(session.Done());
+
+  // Once the key heals, the same session traces on to exactness.
+  faulty.Heal();
+  Result<ProgressionTrace> resumed =
+      ProgressionTrace::Run(session, f.exact, {{"sse", f.sse.get(), 1.0}});
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->points().front().retrieved, 3u);
+  EXPECT_TRUE(session.Done());
 }
 
 // ---------------------------------------------------------------------------
