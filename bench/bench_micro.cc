@@ -266,9 +266,6 @@ BENCHMARK(BM_EngineSessionStepBatch)
 
 void BM_PlanBuild(benchmark::State& state) {
   // Replanning from scratch: master list + importances + permutations.
-  // The parallel:0/1 axis toggles BuildParallelism — both settings produce
-  // bit-identical plans, so the ratio is pure construction speedup (1 on a
-  // single-core machine; the win shows on multi-core CI runners).
   TemperatureDatasetOptions options;
   options.lat_size = 32;
   options.lon_size = 32;
@@ -278,9 +275,6 @@ void BM_PlanBuild(benchmark::State& state) {
   options.num_records = 100000;
   DenseCube cube = MakeTemperatureCube(options);
   const size_t grid = static_cast<size_t>(state.range(0));
-  const BuildParallelism parallelism = state.range(1) != 0
-                                           ? BuildParallelism::kParallel
-                                           : BuildParallelism::kSerial;
   const std::vector<size_t> parts = {grid, grid, 1, 1, 1};
   PartitionWorkload w = MakePartitionWorkload(
       cube.schema(), parts, CellAggregate::kSum, kTemp, 5);
@@ -289,7 +283,7 @@ void BM_PlanBuild(benchmark::State& state) {
   size_t plan_entries = 0;
   for (auto _ : state) {
     Result<std::shared_ptr<const EvalPlan>> plan =
-        EvalPlan::Build(w.batch, strategy, sse, parallelism);
+        EvalPlan::Build(w.batch, strategy, sse);
     benchmark::DoNotOptimize(plan.ok());
     plan_entries = (*plan)->size();
   }
@@ -300,8 +294,8 @@ void BM_PlanBuild(benchmark::State& state) {
       static_cast<double>(plan_entries * state.iterations());
 }
 BENCHMARK(BM_PlanBuild)
-    ->ArgsProduct({{4, 8, 16}, {0, 1}})
-    ->ArgNames({"grid", "parallel"})
+    ->Arg(4)->Arg(8)->Arg(16)
+    ->ArgName("grid")
     ->Unit(benchmark::kMillisecond);
 
 void BM_PlanRandomPermutation(benchmark::State& state) {
@@ -381,13 +375,9 @@ void BM_MasterListBuild(benchmark::State& state) {
   PartitionWorkload w = MakePartitionWorkload(
       cube.schema(), parts, CellAggregate::kSum, kTemp, 5);
   WaveletStrategy strategy(cube.schema(), WaveletKind::kDb4);
-  const BuildParallelism parallelism = state.range(1) != 0
-                                           ? BuildParallelism::kParallel
-                                           : BuildParallelism::kSerial;
   size_t master_entries = 0;
   for (auto _ : state) {
-    Result<MasterList> list =
-        MasterList::Build(w.batch, strategy, parallelism);
+    Result<MasterList> list = MasterList::Build(w.batch, strategy);
     benchmark::DoNotOptimize(list.ok());
     master_entries = list->size();
   }
@@ -398,8 +388,8 @@ void BM_MasterListBuild(benchmark::State& state) {
       static_cast<double>(master_entries * state.iterations());
 }
 BENCHMARK(BM_MasterListBuild)
-    ->ArgsProduct({{4, 8, 16}, {0, 1}})
-    ->ArgNames({"grid", "parallel"})
+    ->Arg(4)->Arg(8)->Arg(16)
+    ->ArgName("grid")
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------------------

@@ -11,15 +11,12 @@
 
 namespace wavebatch {
 
-/// Whether a plan-time build (master-list merge, importances, permutation
-/// sorts) may fan out across util::ThreadPool::Shared(). Both settings
-/// produce bit-identical artifacts — parallel construction uses fixed chunk
-/// boundaries, stable merges, and total-order sorts, so the only difference
-/// is wall-clock. kSerial exists for benchmarking the speedup
-/// (BM_PlanBuild) and for callers that must not touch the shared pool.
+/// Ignored: plan construction has one serial path. The single value keeps
+/// the signature of MasterList::Build that the serving benchmark
+/// (perfbench/) calls with kSerial; remove it with the next change to that
+/// benchmark.
 enum class BuildParallelism {
   kSerial,
-  kParallel,
 };
 
 /// The merged master list of Batch-Biggest-B steps 2–3: per-query sparse
@@ -40,16 +37,16 @@ class MasterList {
   /// An empty master list (no queries, no entries); assign over it.
   MasterList() = default;
 
-  /// Rewrites every query in `batch` under `strategy` and merges. Fails if
-  /// any query cannot be rewritten (e.g. unsupported monomial).
+  /// Rewrites every query in `batch` under `strategy` and merges. Fails
+  /// with the status of the first query that cannot be rewritten (e.g.
+  /// unsupported monomial). The BuildParallelism argument is ignored.
   static Result<MasterList> Build(
       const QueryBatch& batch, const LinearStrategy& strategy,
-      BuildParallelism parallelism = BuildParallelism::kParallel);
+      BuildParallelism = BuildParallelism::kSerial);
 
   /// Merges pre-transformed per-query sparse vectors (index = query index).
   static MasterList FromQueryVectors(
-      const std::vector<SparseVec>& query_coefficients,
-      BuildParallelism parallelism = BuildParallelism::kParallel);
+      const std::vector<SparseVec>& query_coefficients);
 
   size_t num_queries() const { return num_queries_; }
   /// Distinct coefficients needed by the batch = exact shared I/O cost.

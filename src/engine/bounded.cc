@@ -10,8 +10,7 @@ namespace wavebatch {
 
 Result<BoundedRunResult> RunWithBoundedWorkspace(
     const QueryBatch& batch, const LinearStrategy& strategy,
-    const CoefficientStore& store, uint64_t max_workspace_coefficients,
-    BuildParallelism parallelism) {
+    const CoefficientStore& store, uint64_t max_workspace_coefficients) {
   WB_CHECK_GT(max_workspace_coefficients, 0u);
   BoundedRunResult out;
   out.results.resize(batch.size(), 0.0);
@@ -32,8 +31,8 @@ Result<BoundedRunResult> RunWithBoundedWorkspace(
     if (group.empty()) return Status::OK();
     auto plan = EvalPlan::FromMasterList(
         std::make_shared<const MasterList>(
-            MasterList::FromQueryVectors(group, parallelism)),
-        /*penalty=*/nullptr, parallelism);
+            MasterList::FromQueryVectors(group)),
+        /*penalty=*/nullptr);
     EvalSession::Options opts;
     opts.order = ProgressionOrder::kKeyOrder;
     EvalSession session(plan, shared_store, opts);

@@ -41,15 +41,9 @@ struct BoundedRunResult {
 /// Fallible: a failed fetch (or query transform) surfaces as a non-OK
 /// Status. Groups completed before the failure are discarded with the
 /// partial result — the workspace-bounded run is all-or-nothing.
-///
-/// `parallelism` is forwarded to the per-group plan builds. Groups under a
-/// tight budget are small and build serially regardless (the master-list
-/// merge falls back below its parallel threshold), so the default costs
-/// nothing there; generous budgets get the parallel merge.
 Result<BoundedRunResult> RunWithBoundedWorkspace(
     const QueryBatch& batch, const LinearStrategy& strategy,
-    const CoefficientStore& store, uint64_t max_workspace_coefficients,
-    BuildParallelism parallelism = BuildParallelism::kParallel);
+    const CoefficientStore& store, uint64_t max_workspace_coefficients);
 
 }  // namespace wavebatch
 

@@ -6,81 +6,55 @@
 
 #include "telemetry/span.h"
 #include "util/check.h"
-#include "util/parallel_sort.h"
 #include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace wavebatch {
 
-namespace {
-
-/// Runs fn over [0, n): chunked across `pool` when non-null, inline
-/// otherwise. Fixed chunk boundaries; every index visited exactly once.
-void ForRange(ThreadPool* pool, size_t n, size_t grain,
-              const std::function<void(size_t, size_t)>& fn) {
-  if (n == 0) return;
-  if (pool != nullptr) {
-    pool->ParallelFor(n, grain, fn);
-  } else {
-    fn(0, n);
-  }
-}
-
-}  // namespace
-
 Result<std::shared_ptr<const EvalPlan>> EvalPlan::Build(
     const QueryBatch& batch, const LinearStrategy& strategy,
-    std::shared_ptr<const PenaltyFunction> penalty,
-    BuildParallelism parallelism) {
+    std::shared_ptr<const PenaltyFunction> penalty) {
   telemetry::ScopedSpan span("plan_build");
-  Result<MasterList> list = MasterList::Build(batch, strategy, parallelism);
+  Result<MasterList> list = MasterList::Build(batch, strategy);
   if (!list.ok()) return list.status();
   return FromMasterList(
       std::make_shared<const MasterList>(std::move(list).value()),
-      std::move(penalty), parallelism);
+      std::move(penalty));
 }
 
 std::shared_ptr<const EvalPlan> EvalPlan::FromMasterList(
     std::shared_ptr<const MasterList> list,
-    std::shared_ptr<const PenaltyFunction> penalty,
-    BuildParallelism parallelism) {
+    std::shared_ptr<const PenaltyFunction> penalty) {
   WB_CHECK(list != nullptr);
   return std::shared_ptr<const EvalPlan>(
-      new EvalPlan(std::move(list), std::move(penalty), parallelism));
+      new EvalPlan(std::move(list), std::move(penalty)));
 }
 
 EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
-                   std::shared_ptr<const PenaltyFunction> penalty,
-                   BuildParallelism parallelism)
+                   std::shared_ptr<const PenaltyFunction> penalty)
     : list_(std::move(list)), penalty_(std::move(penalty)) {
   const size_t n = list_->size();
-  ThreadPool* pool = parallelism == BuildParallelism::kParallel
-                         ? &ThreadPool::Shared()
-                         : nullptr;
   const std::vector<uint64_t>& offsets = list_->uses_offsets();
   const std::vector<uint32_t>& uses_query = list_->uses_query();
   const std::vector<double>& uses_coeff = list_->uses_coeff();
 
   // Importances: the penalty applied to the column of query coefficients at
-  // each entry. Entries are independent (PenaltyFunction::Apply is a pure
-  // const read), so they fan out in fixed chunks, each chunk scribbling in
-  // its own column buffer — every importance_[i] is the same value the
-  // serial loop computes. The total is then summed serially in entry order:
-  // the same floating-point sequence as the reference evaluator, so sessions
-  // reproduce its bounds bit for bit.
+  // each entry, scattered into one buffer and cleared again after each
+  // entry. The total is summed in entry order — the same floating-point
+  // sequence as the reference evaluator, so sessions reproduce its bounds
+  // bit for bit.
   if (penalty_ != nullptr) {
     importance_.resize(n);
-    ForRange(pool, n, /*grain=*/256, [&](size_t begin, size_t end) {
-      std::vector<double> column(list_->num_queries(), 0.0);
-      for (size_t i = begin; i < end; ++i) {
-        const uint64_t lo = offsets[i];
-        const uint64_t hi = offsets[i + 1];
-        for (uint64_t r = lo; r < hi; ++r) column[uses_query[r]] = uses_coeff[r];
-        importance_[i] = penalty_->Apply(column);
-        for (uint64_t r = lo; r < hi; ++r) column[uses_query[r]] = 0.0;
+    std::vector<double> column(list_->num_queries(), 0.0);
+    for (size_t i = 0; i < n; ++i) {
+      for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+        column[uses_query[r]] = uses_coeff[r];
       }
-    });
-    for (size_t i = 0; i < n; ++i) total_importance_ += importance_[i];
+      importance_[i] = penalty_->Apply(column);
+      for (uint64_t r = offsets[i]; r < offsets[i + 1]; ++r) {
+        column[uses_query[r]] = 0.0;
+      }
+      total_importance_ += importance_[i];
+    }
   }
 
   // kKeyOrder: master lists are ascending by key, so identity.
@@ -90,26 +64,22 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
   // kBiggestB: a max-heap of (importance, index) pairs pops them in
   // descending pair order — all pairs are distinct (indices are unique), so
   // the pop sequence IS the descending sort, ties on importance breaking
-  // toward the larger index. Distinct pairs = strict total order, which is
-  // what lets ParallelSort promise the serially-sorted result.
+  // toward the larger index.
   if (penalty_ != nullptr) {
     biggest_b_ = key_order_;
-    ParallelSort(biggest_b_.begin(), n,
-                 [this](size_t a, size_t b) {
-                   return std::make_pair(importance_[a], a) >
-                          std::make_pair(importance_[b], b);
-                 },
-                 pool);
+    std::sort(biggest_b_.begin(), biggest_b_.end(),
+              [this](size_t a, size_t b) {
+                return std::make_pair(importance_[a], a) >
+                       std::make_pair(importance_[b], b);
+              });
   }
 
   // kRoundRobin: each query walks its own coefficients in decreasing
   // magnitude, one per round; an entry already consumed by an earlier query
   // is skipped, i.e. the raw round-robin sequence collapses onto first
-  // appearances. The per-query sorts are independent and fan out across
-  // queries; each one is the exact std::sort call the reference evaluator
-  // makes (same comparator, same input sequence), so equal-magnitude ties
-  // resolve identically. The collapse is inherently sequential and stays
-  // serial.
+  // appearances. Each per-query sort is the exact std::sort call the
+  // reference evaluator makes (same comparator, same input sequence), so
+  // equal-magnitude ties resolve identically.
   {
     std::vector<std::vector<std::pair<double, size_t>>> per_query(
         list_->num_queries());
@@ -118,15 +88,11 @@ EvalPlan::EvalPlan(std::shared_ptr<const MasterList> list,
         per_query[uses_query[r]].emplace_back(std::abs(uses_coeff[r]), i);
       }
     }
-    ForRange(pool, per_query.size(), /*grain=*/8,
-             [&](size_t begin, size_t end) {
-               for (size_t q = begin; q < end; ++q) {
-                 std::sort(per_query[q].begin(), per_query[q].end(),
-                           [](const auto& a, const auto& b) {
-                             return a.first > b.first;
-                           });
-               }
-             });
+    for (auto& v : per_query) {
+      std::sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+        return a.first > b.first;
+      });
+    }
     std::vector<bool> taken(n, false);
     round_robin_.reserve(n);
     for (size_t round = 0;; ++round) {

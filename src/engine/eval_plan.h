@@ -45,10 +45,8 @@ enum class ProgressionOrder {
 /// the master list and penalty alive, so nothing a session reads has to
 /// outlive the scope that created it.
 ///
-/// Construction fans out over util::ThreadPool::Shared() by default
-/// (importances, permutation sorts, and the master-list merge); pass
-/// BuildParallelism::kSerial to force the single-threaded path. Both
-/// settings produce bit-identical plans — see core/master_list.h.
+/// Construction runs on the calling thread: master-list merge, importances
+/// and the deterministic permutations, each computed once per plan.
 class EvalPlan {
  public:
   /// Rewrites `batch` under `strategy` (MasterList::Build) and plans it.
@@ -57,14 +55,12 @@ class EvalPlan {
   /// do not).
   static Result<std::shared_ptr<const EvalPlan>> Build(
       const QueryBatch& batch, const LinearStrategy& strategy,
-      std::shared_ptr<const PenaltyFunction> penalty,
-      BuildParallelism parallelism = BuildParallelism::kParallel);
+      std::shared_ptr<const PenaltyFunction> penalty);
 
   /// Plans an already-merged master list.
   static std::shared_ptr<const EvalPlan> FromMasterList(
       std::shared_ptr<const MasterList> list,
-      std::shared_ptr<const PenaltyFunction> penalty,
-      BuildParallelism parallelism = BuildParallelism::kParallel);
+      std::shared_ptr<const PenaltyFunction> penalty);
 
   const MasterList& list() const { return *list_; }
   std::shared_ptr<const MasterList> shared_list() const { return list_; }
@@ -106,8 +102,7 @@ class EvalPlan {
 
  private:
   EvalPlan(std::shared_ptr<const MasterList> list,
-           std::shared_ptr<const PenaltyFunction> penalty,
-           BuildParallelism parallelism);
+           std::shared_ptr<const PenaltyFunction> penalty);
 
   std::shared_ptr<const MasterList> list_;
   std::shared_ptr<const PenaltyFunction> penalty_;

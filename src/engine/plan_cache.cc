@@ -45,8 +45,7 @@ using fingerprint::AppendU64;
 
 std::string PlanCache::Fingerprint(const QueryBatch& batch,
                                    const LinearStrategy& strategy,
-                                   const PenaltyFunction* penalty,
-                                   uint64_t data_epoch) {
+                                   const PenaltyFunction* penalty) {
   std::string key;
   key += strategy.name();
   key += '\0';
@@ -77,7 +76,6 @@ std::string PlanCache::Fingerprint(const QueryBatch& batch,
       for (uint32_t e : m.exponents) AppendU64(key, e);
     }
   }
-  AppendU64(key, data_epoch);
   return key;
 }
 
@@ -87,20 +85,11 @@ PlanCache::PlanCache(size_t capacity) : capacity_(capacity) {
 
 Result<std::shared_ptr<const EvalPlan>> PlanCache::GetOrBuild(
     const QueryBatch& batch, const LinearStrategy& strategy,
-    std::shared_ptr<const PenaltyFunction> penalty, uint64_t data_epoch) {
+    std::shared_ptr<const PenaltyFunction> penalty) {
   telemetry::ScopedSpan span("plan_cache_lookup");
-  const std::string key =
-      Fingerprint(batch, strategy, penalty.get(), data_epoch);
+  const std::string key = Fingerprint(batch, strategy, penalty.get());
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Watermark invalidation: the first lookup at a new epoch retires every
-    // plan from older (nonzero) epochs — dead-epoch entries must not linger
-    // until LRU pressure happens to reach them. Epoch-0 (static-store)
-    // plans are not versioned and survive.
-    if (data_epoch > epoch_watermark_) {
-      epoch_watermark_ = data_epoch;
-      DropStaleLocked(epoch_watermark_, /*drop_epoch_zero=*/false);
-    }
     auto it = by_key_.find(key);
     if (it != by_key_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
@@ -124,7 +113,7 @@ Result<std::shared_ptr<const EvalPlan>> PlanCache::GetOrBuild(
       lru_.splice(lru_.begin(), lru_, it->second);
       it->second->plan = plan.value();
     } else {
-      lru_.push_front(Entry{key, plan.value(), data_epoch});
+      lru_.push_front(Entry{key, plan.value()});
       by_key_[key] = lru_.begin();
       if (lru_.size() > capacity_) {
         by_key_.erase(lru_.back().key);
@@ -135,29 +124,6 @@ Result<std::shared_ptr<const EvalPlan>> PlanCache::GetOrBuild(
     }
   }
   return plan;
-}
-
-size_t PlanCache::DropStaleLocked(uint64_t min_epoch, bool drop_epoch_zero) {
-  size_t dropped = 0;
-  for (auto it = lru_.begin(); it != lru_.end();) {
-    const bool stale = it->data_epoch < min_epoch &&
-                       (drop_epoch_zero || it->data_epoch != 0);
-    if (stale) {
-      by_key_.erase(it->key);
-      it = lru_.erase(it);
-      ++dropped;
-    } else {
-      ++it;
-    }
-  }
-  evictions_ += dropped;
-  if (dropped > 0) CacheMetrics().evictions->Add(dropped);
-  return dropped;
-}
-
-size_t PlanCache::InvalidateStale(uint64_t min_epoch) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return DropStaleLocked(min_epoch, /*drop_epoch_zero=*/true);
 }
 
 uint64_t PlanCache::hits() const {
@@ -194,7 +160,6 @@ std::vector<PlanCache::EntryInfo> PlanCache::Entries() const {
       info.fingerprint_prefix += kHex[byte >> 4];
       info.fingerprint_prefix += kHex[byte & 0xf];
     }
-    info.data_epoch = entry.data_epoch;
     info.plan_entries = entry.plan->size();
     info.num_queries = entry.plan->num_queries();
     out.push_back(std::move(info));
@@ -206,7 +171,6 @@ void PlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   by_key_.clear();
-  epoch_watermark_ = 0;
   hits_ = 0;
   misses_ = 0;
   evictions_ = 0;

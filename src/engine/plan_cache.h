@@ -32,41 +32,12 @@ class PlanCache {
  public:
   explicit PlanCache(size_t capacity = 64);
 
-  /// Returns the cached plan for this (batch, strategy, penalty,
-  /// data_epoch) or builds, caches, and returns a fresh one. Build failures
-  /// are not cached.
-  ///
-  /// `data_epoch` is the coefficient plane's published epoch the plan is
-  /// built against (VersionedStore::epoch(); 0 for static stores — the
-  /// default keeps every existing caller and key byte-identical). Today a
-  /// plan depends only on the batch, strategy, and penalty, so plans built
-  /// at different epochs are equal — but the epoch still participates in
-  /// the key and is recorded on the entry, so (a) a caller that derives
-  /// plan state from data (future importance refinements) gets distinct
-  /// plans per epoch for free, and (b) InvalidateStale() can drop plans
-  /// from superseded epochs.
+  /// Returns the cached plan for this (batch, strategy, penalty) or builds,
+  /// caches, and returns a fresh one. Build failures are not cached. A plan
+  /// reads no store, so one cached plan serves every data epoch.
   Result<std::shared_ptr<const EvalPlan>> GetOrBuild(
       const QueryBatch& batch, const LinearStrategy& strategy,
-      std::shared_ptr<const PenaltyFunction> penalty, uint64_t data_epoch = 0);
-
-  /// Drops every cached plan built against a data epoch older than
-  /// `min_epoch` and returns how many were dropped (counted as evictions).
-  /// Ingestion pipelines call this after a merge publishes epoch E with
-  /// min_epoch = E to bound the lifetime of plans pinned to superseded
-  /// versions; plans at epoch >= min_epoch (and static epoch-0 plans when
-  /// min_epoch == 0) survive. The natural wiring is
-  /// VersionedStoreOptions::on_publish.
-  ///
-  /// Invalidation is also automatic: GetOrBuild tracks the highest
-  /// data_epoch it has seen (the watermark) and, whenever a lookup
-  /// advances it, drops entries from older *nonzero* epochs — so
-  /// dead-epoch plans are bounded even without the callback, while static
-  /// (epoch-0) plans always survive the watermark. The watermark treats
-  /// epochs as one stream: caches shared across several versioned planes
-  /// with wildly different epoch counters should prefer the explicit
-  /// callback wiring (spurious drops are only a performance effect, never
-  /// a correctness one — a dropped plan is rebuilt on the next miss).
-  size_t InvalidateStale(uint64_t min_epoch);
+      std::shared_ptr<const PenaltyFunction> penalty);
 
   uint64_t hits() const;
   uint64_t misses() const;
@@ -80,7 +51,6 @@ class PlanCache {
   /// plan_entries is the master-list size the plan would evaluate.
   struct EntryInfo {
     std::string fingerprint_prefix;  // first 8 key bytes, lowercase hex
-    uint64_t data_epoch = 0;
     size_t plan_entries = 0;
     size_t num_queries = 0;
   };
@@ -91,31 +61,20 @@ class PlanCache {
   static PlanCache& Shared();
 
   /// The cache key: a byte-exact fingerprint of the batch's schema, every
-  /// query's intervals and monomials, the strategy name, the penalty's
-  /// content fingerprint, and the data epoch (0 reproduces the historical
-  /// epoch-free key bytes... plus the appended zero, distinct from every
-  /// nonzero epoch). Exposed for tests.
+  /// query's intervals and monomials, the strategy name, and the penalty's
+  /// content fingerprint. Exposed for tests.
   static std::string Fingerprint(const QueryBatch& batch,
                                  const LinearStrategy& strategy,
-                                 const PenaltyFunction* penalty,
-                                 uint64_t data_epoch = 0);
+                                 const PenaltyFunction* penalty);
 
  private:
   struct Entry {
     std::string key;
     std::shared_ptr<const EvalPlan> plan;
-    uint64_t data_epoch;
   };
-
-  /// Drops entries with 0 < data_epoch < min_epoch (watermark semantics:
-  /// epoch-0 static plans survive). Caller holds mu_. Returns the count,
-  /// already folded into evictions_.
-  size_t DropStaleLocked(uint64_t min_epoch, bool drop_epoch_zero);
 
   const size_t capacity_;
   mutable std::mutex mu_;
-  /// Highest data_epoch seen by GetOrBuild; advances drop older entries.
-  uint64_t epoch_watermark_ = 0;
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;

@@ -180,8 +180,6 @@ std::string StatuszJson(const QueryService& service) {
     if (i > 0) out += ',';
     out += "{\"fingerprint\":";
     AppendString(out, e.fingerprint_prefix);
-    out += ",\"data_epoch\":";
-    AppendU64(out, e.data_epoch);
     out += ",\"plan_entries\":";
     AppendU64(out, e.plan_entries);
     out += ",\"num_queries\":";

@@ -285,15 +285,14 @@ void QueryService::AdmitLocked(std::vector<std::function<void()>>* finished) {
     active->timeline =
         telemetry::ConvergenceTimeline(options_.timeline_capacity);
 
-    // Plans are store-free (a transform of the queries alone), so they are
-    // cached at epoch 0 and shared across generations. The lookup (and any
+    // Plans are store-free (a transform of the queries alone), so one
+    // cached plan is shared across generations. The lookup (and any
     // build it triggers) runs under the request's trace so plan_build /
     // plan_cache_lookup spans attribute to it.
     std::optional<telemetry::ScopedTraceContext> trace_guard;
     if (active->trace.active()) trace_guard.emplace(active->trace);
     Result<std::shared_ptr<const EvalPlan>> plan = plan_cache_->GetOrBuild(
-        active->request.batch, *strategy_, active->request.penalty,
-        /*data_epoch=*/0);
+        active->request.batch, *strategy_, active->request.penalty);
     trace_guard.reset();
     if (!plan.ok()) {
       QueryResponse response;

@@ -157,7 +157,7 @@ namespace {
 /// few wasted doubles is cheaper than another syscall + seek.
 constexpr uint64_t kMaxCoalesceGap = 8;
 /// Below this batch size the pool handoff costs more than it saves.
-constexpr size_t kParallelFetchThreshold = 256;
+constexpr size_t kMinParallelFetchKeys = 256;
 }  // namespace
 
 Status FileStore::ReadRun(const Run& run, std::span<const uint64_t> keys,
@@ -209,7 +209,7 @@ Status FileStore::DoFetchBatch(std::span<const uint64_t> keys,
     }
   }
 
-  if (keys.size() < kParallelFetchThreshold || runs.size() == 1) {
+  if (keys.size() < kMinParallelFetchKeys || runs.size() == 1) {
     for (const Run& run : runs) {
       Status status = ReadRun(run, keys, order, out);
       if (!status.ok()) return status;

@@ -6,6 +6,18 @@
 
 namespace wavebatch {
 
+Result<std::vector<SparseVec>> LinearStrategy::TransformBatch(
+    const QueryBatch& batch) const {
+  std::vector<SparseVec> out;
+  out.reserve(batch.size());
+  for (const RangeSumQuery& query : batch.queries()) {
+    Result<SparseVec> coefficients = TransformQuery(query);
+    if (!coefficients.ok()) return coefficients.status();
+    out.push_back(std::move(coefficients).value());
+  }
+  return out;
+}
+
 Result<double> LinearStrategy::AnswerQuery(const RangeSumQuery& query,
                                            const CoefficientStore& store,
                                            IoStats* io) const {

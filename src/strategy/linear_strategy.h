@@ -3,9 +3,11 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cube/dense_cube.h"
 #include "cube/relation.h"
+#include "query/batch.h"
 #include "query/range_sum.h"
 #include "storage/coefficient_store.h"
 #include "util/status.h"
@@ -33,6 +35,13 @@ class LinearStrategy {
   /// exactly under this strategy.
   virtual Result<SparseVec> TransformQuery(
       const RangeSumQuery& query) const = 0;
+
+  /// Rewrites every query of `batch`: element i equals
+  /// TransformQuery(batch.query(i)). Fails with the status of the first
+  /// query that cannot be rewritten. The default calls TransformQuery per
+  /// query; a strategy overrides it to share work across the batch.
+  virtual Result<std::vector<SparseVec>> TransformBatch(
+      const QueryBatch& batch) const;
 
   /// Materializes the view T·Δ from a dense frequency distribution.
   virtual std::unique_ptr<CoefficientStore> BuildStore(

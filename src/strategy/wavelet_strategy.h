@@ -23,6 +23,13 @@ class WaveletStrategy : public LinearStrategy {
 
   Result<SparseVec> TransformQuery(const RangeSumQuery& query) const override;
 
+  /// Computes each distinct 1-D factor (dimension, interval, degree) of the
+  /// batch once: the queries of a grid partition or drill-down repeat most
+  /// of their per-dimension intervals. Bit-identical to TransformQuery per
+  /// query.
+  Result<std::vector<SparseVec>> TransformBatch(
+      const QueryBatch& batch) const override;
+
   /// Dense build: transforms a copy of Δ and stores it as a DenseStore
   /// (array-based storage; exact, memory ∝ domain cells).
   std::unique_ptr<CoefficientStore> BuildStore(

@@ -234,32 +234,6 @@ TEST(EngineSessionTest, StepBatchZeroAndOverrunClamp) {
   }
 }
 
-TEST(EnginePlanTest, SerialAndParallelPlansBitIdentical) {
-  // BuildParallelism must be unobservable in the artifact: importances,
-  // their total, and every permutation identical bit for bit.
-  Fixture f;
-  auto serial =
-      EvalPlan::FromMasterList(f.list, f.sse, BuildParallelism::kSerial);
-  auto parallel =
-      EvalPlan::FromMasterList(f.list, f.sse, BuildParallelism::kParallel);
-  ASSERT_EQ(serial->size(), parallel->size());
-  EXPECT_EQ(serial->total_importance(), parallel->total_importance());
-  for (size_t i = 0; i < serial->size(); ++i) {
-    EXPECT_EQ(serial->importance(i), parallel->importance(i)) << i;
-  }
-  for (ProgressionOrder order :
-       {ProgressionOrder::kBiggestB, ProgressionOrder::kRoundRobin,
-        ProgressionOrder::kKeyOrder}) {
-    std::span<const size_t> a = serial->Permutation(order);
-    std::span<const size_t> b = parallel->Permutation(order);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i], b[i]) << static_cast<int>(order) << " at " << i;
-    }
-  }
-  EXPECT_EQ(serial->RandomPermutation(17), parallel->RandomPermutation(17));
-}
-
 TEST(EnginePlanTest, RandomPermutationMemoIsTransparent) {
   // The plan memoizes the last (seed, permutation) pair; eviction and
   // re-request must be invisible to callers.

@@ -8,17 +8,16 @@
 namespace wavebatch {
 namespace {
 
-/// Random per-query sparse vectors with heavy cross-query key sharing.
-/// total coefficients ≈ num_queries * nnz; sized by callers to land above
-/// or below the master list's parallel-build threshold.
-std::vector<SparseVec> RandomQueryVectors(size_t num_queries, size_t nnz,
+/// Random per-query sparse vectors, query q holding nnz[q] coefficients
+/// drawn from [0, domain); a small domain makes keys collide across queries.
+std::vector<SparseVec> RandomQueryVectors(const std::vector<size_t>& nnz,
                                           uint64_t domain, uint64_t seed) {
   Rng rng(seed);
   std::vector<SparseVec> qs;
-  qs.reserve(num_queries);
-  for (size_t q = 0; q < num_queries; ++q) {
+  qs.reserve(nnz.size());
+  for (size_t n : nnz) {
     std::vector<SparseEntry> entries;
-    for (uint64_t key : rng.SampleWithoutReplacement(domain, nnz)) {
+    for (uint64_t key : rng.SampleWithoutReplacement(domain, n)) {
       entries.push_back({key, rng.Gaussian()});
     }
     qs.push_back(SparseVec::FromUnsorted(entries));
@@ -101,51 +100,46 @@ TEST(MasterListTest, CsrViewMatchesEntriesView) {
   // The CSR image is well formed: prefix offsets cover every use, keys are
   // strictly ascending, each row is strictly ascending by query, and every
   // (key, query, coefficient) triple is one of the input coefficients.
-  std::vector<SparseVec> qs =
-      RandomQueryVectors(/*num_queries=*/12, /*nnz=*/200, /*domain=*/1024, 3);
-  MasterList list = MasterList::FromQueryVectors(qs);
-  ASSERT_EQ(list.keys().size(), list.size());
-  ASSERT_EQ(list.uses_offsets().size(), list.size() + 1);
-  EXPECT_EQ(list.uses_offsets().front(), 0u);
-  EXPECT_EQ(list.uses_offsets().back(), list.uses_query().size());
-  ASSERT_EQ(list.uses_query().size(), list.uses_coeff().size());
-  EXPECT_EQ(list.uses_query().size(), list.TotalQueryCoefficients());
-  for (size_t e = 0; e < list.size(); ++e) {
-    if (e > 0) {
-      EXPECT_LT(list.keys()[e - 1], list.keys()[e]);
+  // Inputs: a dozen equal-sized queries, and an odd number of queries with
+  // empty ones at the start, in the middle and at the end, whose keys
+  // collide heavily (ties across queries must come out in query order).
+  const std::vector<std::vector<SparseVec>> inputs = {
+      RandomQueryVectors(std::vector<size_t>(12, 200), /*domain=*/1024, 3),
+      RandomQueryVectors({0, 13, 7, 0, 1, 29, 4, 0, 0}, /*domain=*/50, 5),
+  };
+  for (const std::vector<SparseVec>& qs : inputs) {
+    SCOPED_TRACE(qs.size());
+    MasterList list = MasterList::FromQueryVectors(qs);
+    ASSERT_EQ(list.num_queries(), qs.size());
+    ASSERT_EQ(list.PerQueryCoefficients().size(), qs.size());
+    for (size_t q = 0; q < qs.size(); ++q) {
+      EXPECT_EQ(list.PerQueryCoefficients()[q], qs[q].size()) << "query " << q;
     }
-    const uint64_t lo = list.uses_offsets()[e];
-    const uint64_t hi = list.uses_offsets()[e + 1];
-    ASSERT_LT(lo, hi) << "entry " << e << " has no uses";
-    for (uint64_t r = lo; r < hi; ++r) {
-      if (r > lo) {
-        EXPECT_LT(list.uses_query()[r - 1], list.uses_query()[r]);
+    ASSERT_EQ(list.keys().size(), list.size());
+    ASSERT_EQ(list.uses_offsets().size(), list.size() + 1);
+    EXPECT_EQ(list.uses_offsets().front(), 0u);
+    EXPECT_EQ(list.uses_offsets().back(), list.uses_query().size());
+    ASSERT_EQ(list.uses_query().size(), list.uses_coeff().size());
+    EXPECT_EQ(list.uses_query().size(), list.TotalQueryCoefficients());
+    EXPECT_GE(list.MaxSharing(), 2u);  // keys genuinely collide
+    for (size_t e = 0; e < list.size(); ++e) {
+      if (e > 0) {
+        EXPECT_LT(list.keys()[e - 1], list.keys()[e]);
       }
-      const uint32_t q = list.uses_query()[r];
-      ASSERT_LT(q, qs.size());
-      EXPECT_EQ(qs[q].ValueAt(list.keys()[e]), list.uses_coeff()[r])
-          << "entry " << e << " query " << q;
+      const uint64_t lo = list.uses_offsets()[e];
+      const uint64_t hi = list.uses_offsets()[e + 1];
+      ASSERT_LT(lo, hi) << "entry " << e << " has no uses";
+      for (uint64_t r = lo; r < hi; ++r) {
+        if (r > lo) {
+          EXPECT_LT(list.uses_query()[r - 1], list.uses_query()[r]);
+        }
+        const uint32_t q = list.uses_query()[r];
+        ASSERT_LT(q, qs.size());
+        EXPECT_EQ(qs[q].ValueAt(list.keys()[e]), list.uses_coeff()[r])
+            << "entry " << e << " query " << q;
+      }
     }
   }
-}
-
-TEST(MasterListTest, SerialAndParallelBuildsBitIdentical) {
-  // Large enough to clear the parallel-build threshold (2^14 merged
-  // coefficients): the two settings must produce byte-for-byte identical
-  // CSR images — that is the whole determinism contract of the parallel
-  // merge (fixed chunks, stable pairwise merges).
-  std::vector<SparseVec> qs = RandomQueryVectors(
-      /*num_queries=*/36, /*nnz=*/600, /*domain=*/8192, 11);
-  MasterList serial =
-      MasterList::FromQueryVectors(qs, BuildParallelism::kSerial);
-  MasterList parallel =
-      MasterList::FromQueryVectors(qs, BuildParallelism::kParallel);
-  ASSERT_GE(serial.TotalQueryCoefficients(), 1u << 14);
-  EXPECT_GE(serial.MaxSharing(), 2u);  // keys genuinely collide
-  EXPECT_EQ(serial.keys(), parallel.keys());
-  EXPECT_EQ(serial.uses_offsets(), parallel.uses_offsets());
-  EXPECT_EQ(serial.uses_query(), parallel.uses_query());
-  EXPECT_EQ(serial.uses_coeff(), parallel.uses_coeff());
 }
 
 TEST(MasterListTest, BuildPropagatesRewriteErrors) {

@@ -9,6 +9,8 @@
 #include "strategy/prefix_sum_strategy.h"
 #include "strategy/wavelet_strategy.h"
 #include "util/random.h"
+#include "wavelet/lazy_query_transform.h"
+#include "wavelet/query_transform.h"
 
 namespace wavebatch {
 namespace {
@@ -141,6 +143,84 @@ TEST(WaveletStrategySparsity, QueryNnzWithinPaperBound) {
     ASSERT_TRUE(coeffs.ok());
     const double per_dim = 2.0 * 4 * 5 + 2.0 * 4;
     EXPECT_LE(coeffs->size(), per_dim * per_dim * per_dim);
+  }
+}
+
+TEST(WaveletStrategyTest2, TransformMatchesAccumulatedTensorProducts) {
+  // The rewrite merges each term's key-sorted products instead of hashing
+  // every product into one accumulator. Its result must be the
+  // accumulator's, bit for bit: products of the 1-D factors with keys
+  // packed dimension 0 first and values multiplied in dimension order,
+  // summed per key in term order, swept with the relative threshold. The
+  // batch rewrite, which shares 1-D factors across queries, must match too.
+  const Schema schema =
+      Schema::Create({{"a", 32}, {"b", 16}, {"c", 8}}).value();
+  Rng rng(21);
+  for (WaveletKind kind : {WaveletKind::kHaar, WaveletKind::kDb4}) {
+    WaveletStrategy strategy(schema, kind);
+    const WaveletFilter& filter = WaveletFilter::Get(kind);
+    QueryBatch batch(schema);
+    for (int t = 0; t < 12; ++t) {
+      const Range range = RandomRange(schema, rng);
+      switch (t % 3) {
+        case 0:
+          batch.Add(RangeSumQuery::Count(range));
+          break;
+        case 1:
+          batch.Add(RangeSumQuery::Sum(range, 1));
+          break;
+        default:  // SUM(b + 53.33): two terms with colliding products
+          batch.Add(RangeSumQuery(range, Polynomial::Attribute(3, 1) +
+                                             Polynomial::Constant(3, 53.33)));
+      }
+      // A COUNT over the same first two intervals gives the batch rewrite
+      // factors to share.
+      if (t % 2 == 0) {
+        std::vector<Interval> ivs = range.intervals();
+        ivs[2] = {0, 7};
+        batch.Add(RangeSumQuery::Count(Range::Create(schema, ivs).value()));
+      }
+    }
+    Result<std::vector<SparseVec>> batched = strategy.TransformBatch(batch);
+    ASSERT_TRUE(batched.ok()) << batched.status();
+    ASSERT_EQ(batched->size(), batch.size());
+    for (size_t q = 0; q < batch.size(); ++q) {
+      const RangeSumQuery& query = batch.query(q);
+      SparseAccumulator acc;
+      for (const Monomial& term : query.poly().terms()) {
+        std::vector<std::vector<SparseEntry>> f(3);
+        for (size_t i = 0; i < 3; ++i) {
+          const Interval& iv = query.range().interval(i);
+          f[i] = LazyRangeMonomialDwt1D(schema.dim(i).size, iv.lo, iv.hi,
+                                        term.exponents[i], filter);
+        }
+        for (const SparseEntry& x : f[0]) {
+          for (const SparseEntry& y : f[1]) {
+            for (const SparseEntry& z : f[2]) {
+              const uint64_t key =
+                  (((x.key << schema.bits(1)) | y.key) << schema.bits(2)) |
+                  z.key;
+              acc.Add(key, term.coeff * x.value * y.value * z.value);
+            }
+          }
+        }
+      }
+      double max_abs = 0.0;
+      for (const auto& [key, value] : acc.map()) {
+        max_abs = std::max(max_abs, std::abs(value));
+      }
+      const SparseVec expected =
+          acc.ToVec(max_abs * kQueryCoefficientRelEps);
+      Result<SparseVec> single = strategy.TransformQuery(query);
+      ASSERT_TRUE(single.ok()) << single.status();
+      for (const SparseVec* actual : {&single.value(), &(*batched)[q]}) {
+        ASSERT_EQ(actual->size(), expected.size()) << "query " << q;
+        for (size_t j = 0; j < expected.size(); ++j) {
+          EXPECT_EQ((*actual)[j].key, expected[j].key) << q << ":" << j;
+          EXPECT_EQ((*actual)[j].value, expected[j].value) << q << ":" << j;
+        }
+      }
+    }
   }
 }
 

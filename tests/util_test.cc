@@ -11,7 +11,6 @@
 #include "gtest/gtest.h"
 #include "telemetry/metrics.h"
 #include "util/bits.h"
-#include "util/parallel_sort.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -417,89 +416,6 @@ TEST(ThreadPoolTest, ParallelForDefaultGrainOverload) {
       {ThreadPool::kDefaultGrain, 2 * ThreadPool::kDefaultGrain},
       {2 * ThreadPool::kDefaultGrain, 2 * ThreadPool::kDefaultGrain + 1}};
   EXPECT_EQ(chunks, expected);
-}
-
-TEST(ParallelSortTest, MatchesSerialSortExactly) {
-  // The comparator is a strict total order (values are distinct), so the
-  // parallel result must equal std::sort element for element — at sizes
-  // straddling the grain so both the serial fallback and the chunked merge
-  // path are exercised.
-  ThreadPool pool(4);
-  for (size_t n : {0ul, 1ul, 100ul, 1000ul, 5000ul}) {
-    Rng rng(n + 1);
-    std::vector<uint64_t> values(n);
-    for (uint64_t& v : values) v = rng.Next();
-    std::vector<uint64_t> expected = values;
-    std::sort(expected.begin(), expected.end());
-    std::vector<uint64_t> actual = values;
-    ParallelSort(actual.begin(), actual.size(),
-                 std::less<uint64_t>(), &pool, /*grain=*/256);
-    EXPECT_EQ(actual, expected) << "n=" << n;
-  }
-}
-
-TEST(ParallelSortTest, IdenticalWithAndWithoutPool) {
-  Rng rng(77);
-  std::vector<uint64_t> values(4096);
-  for (uint64_t& v : values) v = rng.Next();
-  std::vector<uint64_t> serial = values;
-  ParallelSort(serial.begin(), serial.size(), std::less<uint64_t>(),
-               /*pool=*/nullptr, /*grain=*/128);
-  ThreadPool pool(3);
-  std::vector<uint64_t> parallel = values;
-  ParallelSort(parallel.begin(), parallel.size(), std::less<uint64_t>(),
-               &pool, /*grain=*/128);
-  EXPECT_EQ(serial, parallel);
-}
-
-TEST(MergeSortedRunsTest, StableAcrossRuns) {
-  // Three pre-sorted runs with colliding keys; the comparator sees only
-  // the key, so ties must keep run order — this is the property the
-  // master-list merge uses to get the (key, query) order without ever
-  // comparing queries.
-  struct Row {
-    uint64_t key;
-    uint32_t run;
-    bool operator==(const Row& o) const {
-      return key == o.key && run == o.run;
-    }
-  };
-  std::vector<Row> rows = {
-      // run 0
-      {1, 0}, {5, 0}, {9, 0},
-      // run 1
-      {1, 1}, {9, 1},
-      // run 2
-      {5, 2}, {9, 2},
-  };
-  const std::vector<size_t> bounds = {0, 3, 5, 7};
-  ThreadPool pool(2);
-  MergeSortedRuns(rows.begin(), bounds,
-                  [](const Row& a, const Row& b) { return a.key < b.key; },
-                  &pool);
-  const std::vector<Row> expected = {
-      {1, 0}, {1, 1}, {5, 0}, {5, 2}, {9, 0}, {9, 1}, {9, 2}};
-  EXPECT_EQ(rows, expected);
-}
-
-TEST(MergeSortedRunsTest, HandlesOddRunCountsAndEmptyRuns) {
-  Rng rng(5);
-  // Seven runs (odd at multiple levels of the merge tree), some empty.
-  std::vector<size_t> sizes = {13, 0, 7, 1, 0, 29, 4};
-  std::vector<size_t> bounds = {0};
-  std::vector<uint64_t> values;
-  for (size_t s : sizes) {
-    std::vector<uint64_t> run(s);
-    for (uint64_t& v : run) v = rng.Next() % 50;
-    std::sort(run.begin(), run.end());
-    values.insert(values.end(), run.begin(), run.end());
-    bounds.push_back(values.size());
-  }
-  std::vector<uint64_t> expected = values;
-  std::sort(expected.begin(), expected.end());
-  ThreadPool pool(3);
-  MergeSortedRuns(values.begin(), bounds, std::less<uint64_t>(), &pool);
-  EXPECT_EQ(values, expected);
 }
 
 }  // namespace
